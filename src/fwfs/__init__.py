@@ -15,8 +15,9 @@ from .dblcat import (ClassDouble, ClosureError, ConcreteDouble,
                      dbl_from_class, sq, to_internal)
 from .lifting import (FactorisationAssignment, LiftingOperation,
                       LiftingStructure, LlpVertical, NotOrthogonal,
-                      RlpVertical, canonical_left, canonical_right,
-                      check_factorisation_axiom, check_lifting_awfs,
+                      RlpVertical, SideMismatch, canonical_left,
+                      canonical_right, check_factorisation_axiom,
+                      check_lifting_awfs,
                       check_lifting_operation, check_pre_awfs,
                       check_structure_morphism, enumerate_fillers,
                       llp_double_category, llp_verify, restrict,
@@ -28,8 +29,9 @@ from .awfs import (Algebra, Awfs, Coalgebra, FunctorialFactorisation,
                    check_functorial_factorisation, coalg_double_category,
                    enumerate_algebras, enumerate_coalgebras,
                    factorisation_assignment, roundtrip_compare, sem)
-from .catlib import (CatRoster, CommaData, SplitFibration, SplitReflection,
-                     build_roster, canonical_filler, cat_lifting_operation,
+from .catlib import (CatRoster, CommaData, FillerError, SplitFibration,
+                     SplitReflection, build_roster, canonical_filler,
+                     cat_lifting_operation,
                      check_cat_roster, check_cofree_split_reflection,
                      check_free_split_fibration, check_split_fibration,
                      check_split_reflection, comma_category,

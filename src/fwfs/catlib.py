@@ -18,7 +18,7 @@ from .dblcat import ClosureError, ConcreteDouble
 from .fincat import (FinCategory, Functor, NatTransformation,
                      check_category, check_functor, check_nat_transformation,
                      compose_functors, functor_equal, identity_functor)
-from .lifting import LiftingOperation, RuleLifting
+from .lifting import LiftingOperation, RuleLifting, SideMismatch
 from .report import Budget, Report, run_bounded
 
 
@@ -219,8 +219,8 @@ def comma_obj_id(alpha, a) -> str:
     return f"({alpha},{a})"
 
 
-def comma_mor_id(beta, m, src) -> str:
-    return f"({beta},{m})@{src}"
+def comma_mor_id(beta, m, src, dst) -> str:
+    return f"({beta},{m}):{src}->{dst}"
 
 
 @dataclass
@@ -261,11 +261,11 @@ def comma_category(f: Functor) -> CommaData:
                 fm_alpha = B.comp[(f.mor_map[m], alpha)]
                 for beta in B.hom(B.dom[alpha], B.dom[alpha2]):
                     if B.comp[(alpha2, beta)] == fm_alpha:
-                        mid = comma_mor_id(beta, m, src)
+                        mid = comma_mor_id(beta, m, src, dst)
                         morphisms.append((mid, src, dst))
                         mor_data[mid] = (beta, m, src, dst)
         identities[src] = comma_mor_id(B.identities[B.dom[alpha]],
-                                       A.identities[a], src)
+                                       A.identities[a], src, src)
     comp = {}
     by_dom = {}
     for mid, d, _ in morphisms:
@@ -273,14 +273,15 @@ def comma_category(f: Functor) -> CommaData:
     for mid, d, c in morphisms:
         beta1, m1, src1, _ = mor_data[mid]
         for nid in by_dom.get(c, ()):
-            beta2, m2, _, _ = mor_data[nid]
+            beta2, m2, _, dst2 = mor_data[nid]
             comp[(nid, mid)] = comma_mor_id(B.comp[(beta2, beta1)],
-                                            A.comp[(m2, m1)], src1)
+                                            A.comp[(m2, m1)], src1, dst2)
     comma = FinCategory(objects, morphisms, identities, comp,
                         name=f"{B.name or 'B'}/{f.name or 'f'}")
 
     i_obj = {a: comma_obj_id(B.identities[f.obj_map[a]], a) for a in A.objects}
-    i_mor = {m: comma_mor_id(f.mor_map[m], m, i_obj[A.dom[m]])
+    i_mor = {m: comma_mor_id(f.mor_map[m], m, i_obj[A.dom[m]],
+                             i_obj[A.cod[m]])
              for m in A.morphisms}
     i_f = Functor(A, comma, i_obj, i_mor, name="i_f")
     c_f = Functor(comma, A, {o: obj_data[o][1] for o in objects},
@@ -295,11 +296,12 @@ def comma_category(f: Functor) -> CommaData:
             if B.cod[g] != b:
                 continue
             src = comma_obj_id(B.comp[(alpha, g)], a)
-            theta[(o, g)] = comma_mor_id(g, A.identities[a], src)
+            theta[(o, g)] = comma_mor_id(g, A.identities[a], src, o)
     d_f = SplitFibration(d_u, theta, name="d_f")
     eta = NatTransformation(
         identity_functor(comma), compose_functors(i_f, c_f),
-        {o: comma_mor_id(obj_data[o][0], A.identities[obj_data[o][1]], o)
+        {o: comma_mor_id(obj_data[o][0], A.identities[obj_data[o][1]], o,
+                         i_obj[obj_data[o][1]])
          for o in objects},
         name="eta")
     reflection = SplitReflection(i_f, c_f, eta, name="c_f -| i_f")
@@ -310,6 +312,11 @@ def comma_category(f: Functor) -> CommaData:
 # canonical fillers
 
 
+class FillerError(ValueError):
+    """:func:`canonical_filler` was not given a commuting square from a
+    split reflection to a split fibration, so it built no filler."""
+
+
 def canonical_filler(S: SplitReflection, F: SplitFibration,
                      r: Functor, s: Functor) -> Functor:
     """The canonical diagonal in a square (r, s): u → g of a split
@@ -317,17 +324,23 @@ def canonical_filler(S: SplitReflection, F: SplitFibration,
 
     On objects, k b is the domain of the chosen cartesian lift of
     s(eta_b) ending at r(l b) (l the left adjoint); on morphisms, k α is
-    the unique cartesian factorisation lying over s(α).  Both triangles
-    k∘u = r and g∘k = s are asserted after construction.
+    the unique cartesian factorisation lying over s(α).  The boundary
+    of the square is checked before construction, and that k is a
+    functor with k∘u = r and g∘k = s after; a failure raises
+    :class:`FillerError`.
     """
     u, l, eta = S.u, S.left_adjoint, S.eta
     g = F.u
     B = u.target
     Cc = g.source
-    assert r.source is u.source and r.target is Cc
-    assert s.source is B and s.target is g.target
-    assert functor_equal(compose_functors(g, r), compose_functors(s, u)), \
-        "square does not commute"
+    if r.source is not u.source or r.target is not Cc:
+        raise FillerError("top functor r must go from the source of u to "
+                          "the source of g")
+    if s.source is not B or s.target is not g.target:
+        raise FillerError("bottom functor s must go from the target of u "
+                          "to the target of g")
+    if not functor_equal(compose_functors(g, r), compose_functors(s, u)):
+        raise FillerError("square does not commute")
 
     kobj, lift_at = {}, {}
     for b in B.objects:
@@ -344,9 +357,12 @@ def canonical_filler(S: SplitReflection, F: SplitFibration,
             F, r.obj_map[l.obj_map[b2]], s.mor_map[eta.components[b2]],
             m, s.mor_map[al])
     k = Functor(B, Cc, kobj, kmor, name="k")
-    assert check_functor(k).ok
-    assert functor_equal(compose_functors(k, u), r)
-    assert functor_equal(compose_functors(g, k), s)
+    if not check_functor(k).ok:
+        raise FillerError("the canonical diagonal is not a functor")
+    if not functor_equal(compose_functors(k, u), r):
+        raise FillerError("upper triangle k∘u = r fails")
+    if not functor_equal(compose_functors(g, k), s):
+        raise FillerError("lower triangle g∘k = s fails")
     return k
 
 
@@ -540,7 +556,8 @@ def cat_lifting_operation(L: SplRefDouble, R: SplFibDouble) -> LiftingOperation:
     """Fillers via :func:`canonical_filler`; the resulting functor must
     itself be registered in the roster (closure error otherwise)."""
     roster = L.roster
-    assert R.roster is roster
+    if R.roster is not roster:
+        raise SideMismatch("left and right come from different rosters")
 
     def rule(j, k, top, bottom):
         S = L.members[j]

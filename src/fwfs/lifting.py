@@ -39,6 +39,12 @@ def enumerate_fillers(C: FinCategory, left, right, top, bottom):
 # lifting operations
 
 
+class SideMismatch(ValueError):
+    """The sides of a lifting operation or structure do not match: they
+    lie over different base categories, or the operation was built for
+    other double categories than the structure names."""
+
+
 class NotOrthogonal(ValueError):
     """A square between the two classes has zero or several fillers."""
 
@@ -120,7 +126,8 @@ def unique_filler_lifting(left: ConcreteDouble, right: ConcreteDouble
     every square from a left vertical to a right vertical must have
     exactly one diagonal (zero or two witnesses raise)."""
     C = left.base
-    assert right.base is C or right.base.morphisms == C.morphisms
+    if right.base is not C and right.base.morphisms != C.morphisms:
+        raise SideMismatch("left and right lie over different base categories")
     op = UniqueFillerLifting(left, right)
     for j in left.verticals():
         for k in right.verticals():
@@ -137,7 +144,9 @@ class LiftingStructure:
     right: ConcreteDouble
 
     def __post_init__(self):
-        assert self.op.left is self.left and self.op.right is self.right
+        if self.op.left is not self.left or self.op.right is not self.right:
+            raise SideMismatch("the lifting operation was built for other "
+                               "double categories")
 
 
 def check_lifting_operation(op: LiftingOperation,

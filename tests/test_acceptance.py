@@ -254,3 +254,31 @@ def test_8_one_sided_redundancy(epi_mono2):
             verdicts[side] = check_lifting_awfs(S, FA, side, Budget()).status
         assert verdicts["left-only"] == verdicts["both"] == "ok"
         assert verdicts["right-only"] == "ok"
+
+
+def test_9_awfs_laws_finset3():
+    with criterion(9, "the reconstructed image awfs on FinSet<=3 satisfies "
+                      "every law, functoriality decided from generators",
+                   limit=20):
+        fs = build_finset(3)
+        C = fs.category
+        left = dbl_from_class(C, fs.epis, name="D(Epi)")
+        right = dbl_from_class(C, fs.monos, name="D(Mono)")
+        S = LiftingStructure(left, unique_filler_lifting(left, right), right)
+        FA = FactorisationAssignment(
+            {f: finset_image_factorisation(f) for f in C.morphisms})
+        report = check_awfs(awfs_from_lifting(S, FA))
+        assert report.ok, [c.name for c in report.violations()]
+        cases = {c.name: c.cases for c in report.checks}
+        # every composable pair of squares would be 121,082,716 cases
+        assert cases["functoriality"] <= 10**6
+
+
+def test_10_category_finset4():
+    with criterion(10, "FinSet<=4 is a category, associativity decided "
+                       "from generators", limit=20):
+        report = check_category(build_finset(4).category)
+        assert report.ok
+        cases = {c.name: c.cases for c in report.checks}
+        # every composable triple would be 37,147,243 cases
+        assert cases["associativity"] <= 2 * 10**6

@@ -8,7 +8,9 @@ from fwfs import (Awfs, FunctorialFactorisation,
                   enumerate_algebras, enumerate_coalgebras,
                   factorisation_assignment, roundtrip_compare, sem,
                   terminal_category, walking_arrow)
-from fwfs.awfs import ReconstructionError, is_algebra
+from fwfs.awfs import (AlgDouble, CoalgDouble, ReconstructionError,
+                       is_algebra)
+from fwfs.dblcat import ClosureError
 from fwfs.fincat import finset_id
 from fwfs.lifting import FactorisationAssignment
 
@@ -276,3 +278,26 @@ def test_missing_connecting_square_flagged(image_awfs2):
     report = check_essential_image(Pruned(image_awfs2))
     assert not report.ok
     assert any(c.name == "right-connectedness" for c in report.violations())
+
+
+# --- vertical composition of (co)algebras ---------------------------------
+
+
+def test_coalgebra_composite_that_is_not_a_coalgebra_raises(image_awfs2):
+    A = image_awfs2
+    f = finset_id(2, 2, (0, 1))
+    B = Awfs(A.ff, A.delta, {**A.mu, f: finset_id(2, 2, (0, 0))})
+    D = CoalgDouble(B)
+    v = D.identity_vertical("2")
+    with pytest.raises(ClosureError):
+        D.compose(v, v)
+
+
+def test_algebra_composite_that_is_not_an_algebra_raises(image_awfs2):
+    A = image_awfs2
+    f = finset_id(2, 2, (0, 1))
+    B = Awfs(A.ff, {**A.delta, f: finset_id(2, 2, (0, 0))}, A.mu)
+    D = AlgDouble(B)
+    v = D.identity_vertical("2")
+    with pytest.raises(ValueError):
+        D.compose(v, v)

@@ -6,11 +6,12 @@ from fwfs import (Budget, ClosureError, build_roster, canonical_filler,
                   check_functor, check_split_fibration, check_split_reflection,
                   comma_category, enumerate_functors, terminal_category,
                   walking_arrow)
-from fwfs.catlib import (SplFibDouble, SplitFibration, SplRefDouble,
-                         cartesian_factor, identity_fibration,
+from fwfs.catlib import (FillerError, SplFibDouble, SplitFibration,
+                         SplRefDouble, cartesian_factor, identity_fibration,
                          identity_reflection)
-from fwfs.fincat import (Functor, compose_functors, functor_equal,
-                         identity_functor)
+from fwfs.fincat import (Functor, build_finset, compose_functors,
+                         functor_equal, identity_functor)
+from fwfs.lifting import SideMismatch
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +237,41 @@ def test_universality_fails_for_wrong_fibration(arrow_comma):
     V.theta[("1", "a")] = "id1"
     report = check_free_split_fibration(arrow_comma, [V], Budget())
     assert not report.ok
+
+
+# --- comma morphism ids and canonical-filler validation ---------------------
+
+
+def test_comma_of_identity_on_finset2_has_distinct_ids():
+    # two morphisms with the same source and components but different
+    # targets need different ids
+    C = build_finset(2).category
+    cd = comma_category(identity_functor(C, name="id"))
+    K = cd.comma
+    assert len(K.morphisms) == 249
+    assert check_category(K).ok
+    assert check_split_reflection(cd.reflection).ok
+    assert check_split_fibration(cd.d_f).ok
+
+
+def test_canonical_filler_rejects_a_square_with_wrong_boundary(arrow_comma):
+    cd = arrow_comma
+    with pytest.raises(FillerError):
+        canonical_filler(cd.reflection, cd.d_f, cd.c_f, cd.d_f.u)
+
+
+def test_canonical_filler_rejects_a_square_that_does_not_commute(arrow_comma):
+    cd = arrow_comma
+    K, W = cd.comma, cd.f.source
+    to_one = Functor(K, W, {o: "1" for o in K.objects},
+                     {m: "id1" for m in K.morphisms})
+    with pytest.raises(ValueError):
+        canonical_filler(cd.reflection, cd.d_f, cd.i_f, to_one)
+
+
+def test_rosters_of_a_lifting_operation_must_agree(comma_roster, arrow_comma):
+    roster, L, _, cd = comma_roster
+    other = build_roster({"W": cd.f.source, "K": cd.comma},
+                         {"d": cd.d_f.u})
+    with pytest.raises(SideMismatch):
+        cat_lifting_operation(L, SplFibDouble(other, {"d": cd.d_f}))

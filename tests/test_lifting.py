@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from fwfs import (Budget, FactorisationAssignment, LiftingStructure,
@@ -10,8 +14,8 @@ from fwfs import (Budget, FactorisationAssignment, LiftingStructure,
                   unique_filler_lifting, walking_arrow)
 from fwfs.dblcat import ClassDouble, ConcreteDoubleMap, identity_double_map
 from fwfs.fincat import finset_id
-from fwfs.lifting import (TableLifting, canonical_morphism_from,
-                          identity_rlp_vertical)
+from fwfs.lifting import (SideMismatch, TableLifting,
+                          canonical_morphism_from, identity_rlp_vertical)
 
 
 def identities_double(C, name="ids"):
@@ -338,3 +342,39 @@ def test_canonical_morphism_certified(epi_mono2):
     assert report.ok
     # identity first component
     assert all(F_l(v) == v for v in S.left.verticals())
+
+
+# --- validation raises, also under python -O -----------------------------
+
+
+def test_sides_over_different_bases_raise(finset2):
+    left = dbl_from_class(finset2.category, finset2.epis)
+    W = walking_arrow()
+    with pytest.raises(SideMismatch):
+        unique_filler_lifting(left, dbl_from_class(W, W.morphisms))
+
+
+def test_structure_with_a_foreign_operation_raises(epi_mono2):
+    S, _ = epi_mono2
+    other = ClassDouble(S.right.base, S.right.members)
+    with pytest.raises(ValueError):
+        LiftingStructure(S.left, S.op, other)
+
+
+def test_validation_survives_optimised_python():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("from fwfs import walking_arrow, dbl_from_class, "
+            "unique_filler_lifting\n"
+            "from fwfs.lifting import LiftingStructure, SideMismatch\n"
+            "W = walking_arrow()\n"
+            "ids = W.identities.values()\n"
+            "L = dbl_from_class(W, ids)\n"
+            "op = unique_filler_lifting(L, L)\n"
+            "try:\n"
+            "    LiftingStructure(L, op, dbl_from_class(W, ids))\n"
+            "except SideMismatch:\n"
+            "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "raised", out.stderr
