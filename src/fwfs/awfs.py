@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dblcat import ClosureError, ConcreteDouble
-from .fincat import FinCategory, check_category
+from .fincat import FinCategory
 from .lifting import (FactorisationAssignment, LiftingStructure,
                       RuleLifting)
 from .report import Budget, Report, run_bounded
@@ -105,13 +105,17 @@ def check_functorial_factorisation(ff: FunctorialFactorisation) -> Report:
         idsq = (f, f, C.identities[C.dom[f]], C.identities[C.cod[f]])
         if ff.sq_map[idsq] != C.identities[ff.mid[f]]:
             bad.append({"kind": "identity", "f": f})
-    pairs = (generating_square_pairs(C) if check_category(C).ok
-             else square_pairs(C))
+    pairs = generating_square_pairs(C) if C.is_category else square_pairs(C)
     sq_map = ff.sq_map
     for f, g, h, (t1, b1), (t2, b2) in pairs:
         n += 1
-        lhs = sq_map[(f, h, comp[(t2, t1)], comp[(b2, b1)])]
-        if lhs != comp[(sq_map[(g, h, t2, b2)], sq_map[(f, g, t1, b1)])]:
+        # every square has an E value by now, so a missing one means the
+        # composite of the two squares is not a square (C not associative)
+        lhs = sq_map.get((f, h, comp[(t2, t1)], comp[(b2, b1)]))
+        if lhs is None:
+            bad.append({"kind": "composite-not-a-square", "f": f, "g": g,
+                        "h": h, "squares": [[t1, b1], [t2, b2]]})
+        elif lhs != comp[(sq_map[(g, h, t2, b2)], sq_map[(f, g, t1, b1)])]:
             bad.append({"kind": "composition", "f": f, "g": g,
                         "h": h, "squares": [[t1, b1], [t2, b2]]})
     if bad:

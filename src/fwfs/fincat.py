@@ -6,9 +6,9 @@ dictionary lookup.  Identifiers are opaque strings; equality is
 identifier equality and all enumeration is lexicographic, which makes
 reports reproducible byte for byte.
 
-Instances are immutable after construction (the square cache is
-write-once memoization), so everything in this module is safe to use
-concurrently.
+Instances are immutable after construction (the square, filler and
+category-verdict caches are write-once memoization), so everything in
+this module is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ class FinCategory:
         for mid in self.morphisms:
             self._hom.setdefault((self.dom[mid], self.cod[mid]), []).append(mid)
         self._squares = {}
+        self._unique = {}
+        self._is_category = None
 
     def hom(self, a, b):
         """Morphisms a -> b in lexicographic order."""
@@ -78,6 +80,30 @@ class FinCategory:
                         out.append((top, bottom))
             cached = self._squares[key] = tuple(out)
         return cached
+
+    def unique_fillers(self, f, g):
+        """Whether every commuting square f -> g has at most one diagonal.
+
+        A diagonal d fills exactly the square (d∘f, g∘d), so fillers are
+        unique iff d ↦ (d∘f, g∘d) is injective on hom(cod f, dom g).
+        Meaningful only when the table is total, which
+        :attr:`is_category` ensures.
+        """
+        key = (f, g)
+        cached = self._unique.get(key)
+        if cached is None:
+            comp = self.comp
+            hom = self.hom(self.cod[f], self.dom[g])
+            cached = self._unique[key] = len(hom) == len(
+                {(comp[(d, f)], comp[(g, d)]) for d in hom})
+        return cached
+
+    @property
+    def is_category(self):
+        """``check_category(self).ok``, computed once."""
+        if self._is_category is None:
+            self._is_category = check_category(self).ok
+        return self._is_category
 
     def __repr__(self):
         label = self.name or "FinCategory"
@@ -207,9 +233,11 @@ def check_category(C: FinCategory) -> Report:
         if C.dom[gf] != C.dom[f] or C.cod[gf] != C.cod[g]:
             bounds.append({"g": g, "f": f, "composite": gf})
     if bounds:
+        # a composite with the wrong boundary makes later lookups
+        # ill-typed, so nothing after this is decidable
         report.add_violation("boundaries", bounds, cases=n_pairs)
-    else:
-        report.add_ok("boundaries", cases=n_pairs)
+        return report
+    report.add_ok("boundaries", cases=n_pairs)
 
     units = []
     for f in C.morphisms:
@@ -224,7 +252,7 @@ def check_category(C: FinCategory) -> Report:
 
     # Light's test: with lawful boundaries and units, associativity of
     # the triples whose middle is a generator implies all of it
-    middles = C.morphisms if bounds or units else generators(C)
+    middles = C.morphisms if units else generators(C)
     assoc = []
     n_triples = 0
     comp = C.comp

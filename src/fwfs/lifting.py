@@ -151,15 +151,30 @@ class LiftingStructure:
 
 def check_lifting_operation(op: LiftingOperation,
                             budget: Budget | None = None) -> Report:
-    """Verify filler validity plus the four compatibility families."""
+    """Verify filler validity plus the four compatibility families.
+
+    In every compatibility case both sides are diagonals of one
+    commuting square of C, and both are valid once filler validity
+    holds and C is a category.  Where that square has at most one
+    diagonal (:meth:`FinCategory.unique_fillers`) the two sides are
+    equal, so a block of cases over such a pair is counted in
+    ``cases_examined`` without being evaluated and spends no budget.
+    """
     L, R = op.left, op.right
     C = L.base
     comp = C.comp
     report = Report()
     lverts = sorted(L.verticals(), key=L.label)
     rverts = sorted(R.verticals(), key=R.label)
+    lset, rset = set(lverts), set(rverts)
+    valid = False  # set once filler validity has passed
+
+    def forced(x, y):
+        """Both sides of each case over squares x -> y agree."""
+        return valid and C.is_category and C.unique_fillers(x, y)
 
     def validity():
+        nonlocal valid
         bad, n = [], 0
         for j in lverts:
             lj = L.underlying(j)
@@ -178,17 +193,24 @@ def check_lifting_operation(op: LiftingOperation,
             report.add_violation("filler-validity", bad, cases=n)
         else:
             report.add_ok("filler-validity", cases=n)
+            valid = True
 
     def horizontal_left():
-        # naturality in squares of L: fill(j,k,s,t)∘r1 = fill(i,k,s∘r0,t∘r1)
+        # naturality in squares of L: fill(j,k,s,t)∘r1 = fill(i,k,s∘r0,t∘r1),
+        # both diagonals of (s∘r0, t∘r1): Ui -> Vk
         bad, n = [], 0
         for i in lverts:
+            li = L.underlying(i)
             for j in lverts:
                 for r0, r1 in L.squares(i, j):
                     lj = L.underlying(j)
                     for k in rverts:
                         rk = R.underlying(k)
-                        for s, t in C.squares(lj, rk):
+                        squares = C.squares(lj, rk)
+                        if forced(li, rk):
+                            n += len(squares)
+                            continue
+                        for s, t in squares:
                             n += 1
                             if budget:
                                 budget.spend()
@@ -205,15 +227,21 @@ def check_lifting_operation(op: LiftingOperation,
             report.add_ok("horizontal-left", cases=n)
 
     def horizontal_right():
-        # naturality in squares of R: q0∘fill(j,k,u,v) = fill(j,k',q0∘u,q1∘v)
+        # naturality in squares of R: q0∘fill(j,k,u,v) = fill(j,k',q0∘u,q1∘v),
+        # both diagonals of (q0∘u, q1∘v): Uj -> Vk'
         bad, n = [], 0
         for k in rverts:
             for k2 in rverts:
+                rk2 = R.underlying(k2)
                 for q0, q1 in R.squares(k, k2):
                     rk = R.underlying(k)
                     for j in lverts:
                         lj = L.underlying(j)
-                        for u, v in C.squares(lj, rk):
+                        squares = C.squares(lj, rk)
+                        if forced(lj, rk2):
+                            n += len(squares)
+                            continue
+                        for u, v in squares:
                             n += 1
                             if budget:
                                 budget.spend()
@@ -230,7 +258,8 @@ def check_lifting_operation(op: LiftingOperation,
             report.add_ok("horizontal-right", cases=n)
 
     def vertical_left():
-        # fill(j∘i, k, s, t) = fill(j, k, fill(i, k, s, t∘Uj), t)
+        # fill(j∘i, k, s, t) = fill(j, k, fill(i, k, s, t∘Uj), t), both
+        # diagonals of (s, t): U(j∘i) -> Vk when U(j∘i) = Uj∘Ui
         bad, n = [], 0
         for i in lverts:
             for j in lverts:
@@ -239,9 +268,15 @@ def check_lifting_operation(op: LiftingOperation,
                 ji = L.compose(j, i)
                 uji = L.underlying(ji)
                 uj = L.underlying(j)
+                # the lifts against j∘i were validated, over Uj∘Ui
+                validated = ji in lset and comp[(uj, L.underlying(i))] == uji
                 for k in rverts:
                     rk = R.underlying(k)
-                    for s, t in C.squares(uji, rk):
+                    squares = C.squares(uji, rk)
+                    if validated and forced(uji, rk):
+                        n += len(squares)
+                        continue
+                    for s, t in squares:
                         n += 1
                         if budget:
                             budget.spend()
@@ -257,7 +292,8 @@ def check_lifting_operation(op: LiftingOperation,
             report.add_ok("vertical-left", cases=n)
 
     def vertical_right():
-        # fill(j, l∘k, u, v) = fill(j, k, u, fill(j, l, Vk∘u, v))
+        # fill(j, l∘k, u, v) = fill(j, k, u, fill(j, l, Vk∘u, v)), both
+        # diagonals of (u, v): Uj -> V(l∘k) when V(l∘k) = Vl∘Vk
         bad, n = [], 0
         for k in rverts:
             for l in rverts:
@@ -266,9 +302,14 @@ def check_lifting_operation(op: LiftingOperation,
                 lk = R.compose(l, k)
                 ulk = R.underlying(lk)
                 uk = R.underlying(k)
+                validated = lk in rset and comp[(R.underlying(l), uk)] == ulk
                 for j in lverts:
                     lj = L.underlying(j)
-                    for u, v in C.squares(lj, ulk):
+                    squares = C.squares(lj, ulk)
+                    if validated and forced(lj, ulk):
+                        n += len(squares)
+                        continue
+                    for u, v in squares:
                         n += 1
                         if budget:
                             budget.spend()
@@ -349,7 +390,11 @@ class LlpVertical:
 def rlp_verify(L: ConcreteDouble, v: RlpVertical,
                budget: Budget | None = None) -> Report:
     """Objecthood in RLP(L): total valid fillers, natural in L-squares,
-    compatible with vertical composition in L."""
+    compatible with vertical composition in L.
+
+    As in :func:`check_lifting_operation`, both sides of a compatibility
+    case are valid diagonals of one square, so blocks over a pair with
+    unique fillers are counted without being evaluated."""
     C = L.base
     comp = C.comp
     report = Report()
@@ -378,13 +423,20 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
         report.add_violation("filler-validity", bad, cases=n)
         return report
     report.add_ok("filler-validity", cases=n)
+    forced = C.unique_fillers if C.is_category else lambda x, y: False
 
     bad, n = [], 0
     for i in lverts:
+        # both sides fill (s∘r0, t∘r1): Ui -> f
+        skip = forced(L.underlying(i), f)
         for j in lverts:
             for r0, r1 in L.squares(i, j):
                 lj = L.underlying(j)
-                for s, t in C.squares(lj, f):
+                squares = C.squares(lj, f)
+                if skip:
+                    n += len(squares)
+                    continue
+                for s, t in squares:
                     n += 1
                     if budget:
                         budget.spend()
@@ -399,13 +451,20 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
         report.add_ok("horizontal-compatibility", cases=n)
 
     bad, n = [], 0
+    lset = set(lverts)
     for i in lverts:
         for j in lverts:
             if not L.composable(j, i):
                 continue
             ji = L.compose(j, i)
             uji, uj = L.underlying(ji), L.underlying(j)
-            for s, t in C.squares(uji, f):
+            squares = C.squares(uji, f)
+            # both sides fill (s, t): U(j∘i) -> f when U(j∘i) = Uj∘Ui
+            if (ji in lset and comp[(uj, L.underlying(i))] == uji
+                    and forced(uji, f)):
+                n += len(squares)
+                continue
+            for s, t in squares:
                 n += 1
                 if budget:
                     budget.spend()
@@ -423,7 +482,7 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
 
 def llp_verify(R: ConcreteDouble, v: LlpVertical,
                budget: Budget | None = None) -> Report:
-    """Dual of :func:`rlp_verify`."""
+    """Dual of :func:`rlp_verify`, forced blocks included."""
     C = R.base
     comp = C.comp
     report = Report()
@@ -452,13 +511,20 @@ def llp_verify(R: ConcreteDouble, v: LlpVertical,
         report.add_violation("filler-validity", bad, cases=n)
         return report
     report.add_ok("filler-validity", cases=n)
+    forced = C.unique_fillers if C.is_category else lambda x, y: False
 
     bad, n = [], 0
     for k in rverts:
         for k2 in rverts:
+            # both sides fill (q0∘u, q1∘t): f -> Vk'
+            skip = forced(f, R.underlying(k2))
             for q0, q1 in R.squares(k, k2):
                 rk = R.underlying(k)
-                for u, t in C.squares(f, rk):
+                squares = C.squares(f, rk)
+                if skip:
+                    n += len(squares)
+                    continue
+                for u, t in squares:
                     n += 1
                     if budget:
                         budget.spend()
@@ -473,13 +539,20 @@ def llp_verify(R: ConcreteDouble, v: LlpVertical,
         report.add_ok("horizontal-compatibility", cases=n)
 
     bad, n = [], 0
+    rset = set(rverts)
     for k in rverts:
         for l in rverts:
             if not R.composable(l, k):
                 continue
             lk = R.compose(l, k)
             ulk, uk = R.underlying(lk), R.underlying(k)
-            for u, t in C.squares(f, ulk):
+            squares = C.squares(f, ulk)
+            # both sides fill (u, t): f -> V(l∘k) when V(l∘k) = Vl∘Vk
+            if (lk in rset and comp[(R.underlying(l), uk)] == ulk
+                    and forced(f, ulk)):
+                n += len(squares)
+                continue
+            for u, t in squares:
                 n += 1
                 if budget:
                     budget.spend()
@@ -567,6 +640,14 @@ class RlpDouble(ConcreteDouble):
         self.L = L
         self.budget = budget
         self._over = {}
+        self._verified = {}
+
+    def verified(self, v):
+        """``rlp_verify(L, v).ok``, computed once per vertical."""
+        ok = self._verified.get(v)
+        if ok is None:
+            ok = self._verified[v] = rlp_verify(self.L, v).ok
+        return ok
 
     def verticals_over(self, f, budget: Budget | None = None):
         cached = self._over.get(f)
@@ -590,7 +671,9 @@ class RlpDouble(ConcreteDouble):
         for combo in itertools.product(*choices):
             budget.spend()
             cand = RlpVertical(f, dict(zip(keys, combo)))
-            if rlp_verify(L, cand).ok:
+            # only accepted candidates are kept, so rejected ones stay garbage
+            if self._verified.get(cand) or rlp_verify(L, cand).ok:
+                self._verified[cand] = True
                 out.append(cand)
         self._over[f] = tuple(out)
         return out
@@ -602,7 +685,7 @@ class RlpDouble(ConcreteDouble):
         return out
 
     def has_vertical(self, v):
-        return isinstance(v, RlpVertical) and rlp_verify(self.L, v).ok
+        return isinstance(v, RlpVertical) and self.verified(v)
 
     def underlying(self, v):
         return v.f
@@ -623,9 +706,13 @@ class RlpDouble(ConcreteDouble):
             return False
         L = self.L
         # the square must commute with the fillers: top∘theta_v = theta_w
-        # of the translated square
+        # of the translated square; for verified v and w both sides fill
+        # (top∘u, bottom∘t): Uj -> w.f, so they agree where it has one
+        decided = C.is_category and self.verified(v) and self.verified(w)
         for j in L.verticals():
             lj = L.underlying(j)
+            if decided and C.unique_fillers(lj, w.f):
+                continue
             for u, t in C.squares(lj, v.f):
                 lhs = comp[(top, v.theta[(L.label(j), u, t)])]
                 rhs = w.theta[(L.label(j), comp[(top, u)], comp[(bottom, t)])]
@@ -644,6 +731,14 @@ class LlpDouble(ConcreteDouble):
         self.R = R
         self.budget = budget
         self._over = {}
+        self._verified = {}
+
+    def verified(self, v):
+        """``llp_verify(R, v).ok``, computed once per vertical."""
+        ok = self._verified.get(v)
+        if ok is None:
+            ok = self._verified[v] = llp_verify(self.R, v).ok
+        return ok
 
     def verticals_over(self, f, budget: Budget | None = None):
         cached = self._over.get(f)
@@ -667,7 +762,9 @@ class LlpDouble(ConcreteDouble):
         for combo in itertools.product(*choices):
             budget.spend()
             cand = LlpVertical(f, dict(zip(keys, combo)))
-            if llp_verify(R, cand).ok:
+            # only accepted candidates are kept, so rejected ones stay garbage
+            if self._verified.get(cand) or llp_verify(R, cand).ok:
+                self._verified[cand] = True
                 out.append(cand)
         self._over[f] = tuple(out)
         return out
@@ -679,7 +776,7 @@ class LlpDouble(ConcreteDouble):
         return out
 
     def has_vertical(self, v):
-        return isinstance(v, LlpVertical) and llp_verify(self.R, v).ok
+        return isinstance(v, LlpVertical) and self.verified(v)
 
     def underlying(self, v):
         return v.f
@@ -699,8 +796,12 @@ class LlpDouble(ConcreteDouble):
         if (top, bottom) not in C.squares(v.f, w.f):
             return False
         R = self.R
+        # for verified v and w both sides fill (s∘top, t∘bottom): v.f -> Vk
+        decided = C.is_category and self.verified(v) and self.verified(w)
         for k in R.verticals():
             rk = R.underlying(k)
+            if decided and C.unique_fillers(v.f, rk):
+                continue
             for s, t in C.squares(w.f, rk):
                 lhs = comp[(w.theta[(R.label(k), s, t)], bottom)]
                 rhs = v.theta[(R.label(k), comp[(s, top)], comp[(t, bottom)])]

@@ -282,3 +282,20 @@ def test_10_category_finset4():
         cases = {c.name: c.cases for c in report.checks}
         # every composable triple would be 37,147,243 cases
         assert cases["associativity"] <= 2 * 10**6
+
+
+def test_11_lifting_finset3_default_budget():
+    with criterion(11, "the FinSet<=3 lifting operation and lifting axiom "
+                       "are decided within the default budget, uniquely "
+                       "filled squares decided from filler validity",
+                   limit=10):
+        fs = build_finset(3)
+        C = fs.category
+        left = dbl_from_class(C, fs.epis, name="D(Epi)")
+        right = dbl_from_class(C, fs.monos, name="D(Mono)")
+        S = LiftingStructure(left, unique_filler_lifting(left, right), right)
+        for report in (check_lifting_operation(S.op, Budget()),
+                       check_pre_awfs(S, Budget())):
+            assert report.ok, [c.name for c in report.checks if c.status != "ok"]
+            # evaluating every case would spend 1,081,908 on the operation
+            assert report.budget_used <= 10**5

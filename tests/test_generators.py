@@ -408,3 +408,37 @@ def test_acceptance_mutations_agree(finset2, image_awfs2):
     report = check_awfs(Awfs(A.ff, delta, A.mu))
     assert report.status == "violation"
     assert functoriality_verdict(A.ff, report) == "ok"
+
+
+# --- non-associative bases ------------------------------------------------
+
+
+def test_composite_that_is_not_a_square_is_a_violation():
+    """On Z/3 with 1+1 set to 1, pasting two squares need not give a
+    square, so E has no value on the composite: a witnessed violation."""
+    B = z3()
+    B = with_composition(B, {**B.comp, ("1", "1"): "1"}, name="Z/3 with 1+1 := 1")
+    assert not brute_associative(B)
+    report = check_functorial_factorisation(codomain_ff(B))
+    assert statuses(report)["functoriality"] == "violation"
+    kinds = {w["kind"] for w in report.violations()[0].witnesses}
+    assert "composite-not-a-square" in kinds
+
+
+def test_category_verdict_is_computed_once(monkeypatch):
+    """check_functorial_factorisation reads the category's memoised
+    verdict instead of checking the category again on every call."""
+    import fwfs.fincat
+    calls = []
+    original = fwfs.fincat.check_category
+
+    def counting(C):
+        calls.append(C.name)
+        return original(C)
+
+    monkeypatch.setattr(fwfs.fincat, "check_category", counting)
+    C = chain2()
+    ff = codomain_ff(C)
+    for _ in range(3):
+        assert check_functorial_factorisation(ff).ok
+    assert calls == ["[2]"]

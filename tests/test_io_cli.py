@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fwfs import check_cat_roster, check_category
+from fwfs import build_finset, check_cat_roster, check_category
 from fwfs.cli import main
 from fwfs.io import (ParseError, awfs_to_dict, category_from_dict,
                      category_to_dict, load_awfs, load_bundle, load_category,
@@ -262,3 +262,23 @@ def test_cli_factorise_requires_finset_ids(capsys):
     code, _, err = run_cli(capsys, "factorise", "a",
                            "--category", data("walking_arrow.json"))
     assert code == 64 and "finite-set" in err
+
+
+def test_cli_lifting_op_finset3_default_budget(capsys, monkeypatch, tmp_path):
+    """FinSet≤3 epi/mono decides within the default budget of 10^6:
+    every case is counted, only filler validity is spent."""
+    monkeypatch.delenv("FWFS_BUDGET", raising=False)
+    fs = build_finset(3)
+    (tmp_path / "finset3.json").write_text(
+        json.dumps(category_to_dict(fs.category)))
+    bundle = tmp_path / "epi_mono_finset3.json"
+    bundle.write_text(json.dumps({
+        "category": "finset3.json",
+        "left": {"class": sorted(fs.epis)},
+        "right": {"class": sorted(fs.monos)},
+        "operation": {"kind": "unique"}}))
+    code, out, _ = run_cli(capsys, "check", "lifting-op", str(bundle))
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == "ok"
+    assert sum(c["cases_examined"] for c in doc["checks"]) == 1_081_908
+    assert doc["budget_used"] == doc["checks"][0]["cases_examined"]
