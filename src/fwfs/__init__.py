@@ -6,17 +6,18 @@ translations between the two."""
 from .report import (Budget, BudgetExceeded, Report, EXIT_OK, EXIT_VIOLATION,
                      EXIT_INCONCLUSIVE, EXIT_USAGE)
 from .fincat import (FinCategory, Functor, NatTransformation, Adjunction,
-                     Square, arrow_category, build_finset, check_adjunction,
-                     check_category, check_functor, terminal_category,
-                     walking_arrow)
+                     OppositeCategory, arrow_category, build_finset,
+                     check_adjunction, check_category, check_functor,
+                     terminal_category, walking_arrow)
 from .dblcat import (ClassDouble, ClosureError, ConcreteDouble,
                      ConcreteDoubleMap, DoubleCategory, DoubleFunctor,
+                     OppositeDouble,
                      check_double_category, check_double_functor,
                      dbl_from_class, sq, to_internal)
 from .lifting import (FactorisationAssignment, LiftingOperation,
                       LiftingStructure, LlpVertical, NotOrthogonal,
                       RlpVertical, SideMismatch, canonical_left,
-                      canonical_right, check_factorisation_axiom,
+                      check_factorisation_axiom,
                       check_lifting_awfs,
                       check_lifting_operation, check_pre_awfs,
                       check_structure_morphism, enumerate_fillers,

@@ -31,9 +31,6 @@ class FunctorialFactorisation:
     rho: dict     # f -> ρf
     sq_map: dict  # (f, g, top, bottom) -> E(top,bottom): Ef -> Eg
 
-    def e_mor(self, f, g, top, bottom):
-        return self.sq_map[(f, g, top, bottom)]
-
 
 @dataclass
 class Awfs:
@@ -66,10 +63,9 @@ def check_functorial_factorisation(ff: FunctorialFactorisation) -> Report:
             bad.append({"kind": "boundary", "f": f})
         elif comp[(rho, lam)] != f:
             bad.append({"kind": "section", "f": f, "got": comp[(rho, lam)]})
+    report.record("section", bad, cases=len(C.morphisms))
     if bad:
-        report.add_violation("section", bad, cases=len(C.morphisms))
         return report
-    report.add_ok("section", cases=len(C.morphisms))
 
     # E on squares: totality, boundaries, naturality of λ and ρ
     bad, n = [], 0
@@ -92,10 +88,9 @@ def check_functorial_factorisation(ff: FunctorialFactorisation) -> Report:
                 if comp[(ff.rho[g], e)] != comp[(bottom, ff.rho[f])]:
                     bad.append({"kind": "rho-naturality", "f": f, "g": g,
                                 "square": [top, bottom]})
+    report.record("naturality", bad, cases=n)
     if bad:
-        report.add_violation("naturality", bad, cases=n)
         return report
-    report.add_ok("naturality", cases=n)
 
     # functoriality of E on the arrow category; the generating pairs
     # decide it only when C itself is a category
@@ -118,10 +113,7 @@ def check_functorial_factorisation(ff: FunctorialFactorisation) -> Report:
         elif lhs != comp[(sq_map[(g, h, t2, b2)], sq_map[(f, g, t1, b1)])]:
             bad.append({"kind": "composition", "f": f, "g": g,
                         "h": h, "squares": [[t1, b1], [t2, b2]]})
-    if bad:
-        report.add_violation("functoriality", bad, cases=n)
-    else:
-        report.add_ok("functoriality", cases=n)
+    report.record("functoriality", bad, cases=n)
     return report
 
 
@@ -208,10 +200,9 @@ def check_awfs(A: Awfs) -> Report:
             bad.append({"kind": "delta-boundary", "f": f})
         if m is None or C.dom.get(m) != ff.mid[rho] or C.cod.get(m) != ff.mid[f]:
             bad.append({"kind": "mu-boundary", "f": f})
+    report.record("boundaries", bad, cases=2 * len(C.morphisms))
     if bad:
-        report.add_violation("boundaries", bad, cases=2 * len(C.morphisms))
         return report
-    report.add_ok("boundaries", cases=2 * len(C.morphisms))
 
     co, mo = [], []
     for f in C.morphisms:
@@ -248,14 +239,8 @@ def check_awfs(A: Awfs) -> Report:
                            "lhs": lhs, "rhs": rhs})
         except NonSquare as ex:
             mo.append({"law": "non-square", "f": f, "key": list(ex.key)})
-    if co:
-        report.add_violation("comonad", co, cases=4 * len(C.morphisms))
-    else:
-        report.add_ok("comonad", cases=4 * len(C.morphisms))
-    if mo:
-        report.add_violation("monad", mo, cases=4 * len(C.morphisms))
-    else:
-        report.add_ok("monad", cases=4 * len(C.morphisms))
+    report.record("comonad", co, cases=4 * len(C.morphisms))
+    report.record("monad", mo, cases=4 * len(C.morphisms))
 
     nat, n = [], 0
     for f in C.morphisms:
@@ -280,10 +265,7 @@ def check_awfs(A: Awfs) -> Report:
                 except NonSquare as ex:
                     nat.append({"law": "non-square", "f": f, "g": g,
                                 "key": list(ex.key)})
-    if nat:
-        report.add_violation("naturality-delta-mu", nat, cases=n)
-    else:
-        report.add_ok("naturality-delta-mu", cases=n)
+    report.record("naturality-delta-mu", nat, cases=n)
 
     # distributive law: the middle square (Δf, μf): λρf → ρλf commutes,
     # and the one compatibility not already implied by the (co)monad laws
@@ -304,10 +286,7 @@ def check_awfs(A: Awfs) -> Report:
                              "lhs": lhs, "rhs": rhs})
         except NonSquare as ex:
             dist.append({"law": "non-square", "f": f, "key": list(ex.key)})
-    if dist:
-        report.add_violation("distributive-law", dist, cases=2 * len(C.morphisms))
-    else:
-        report.add_ok("distributive-law", cases=2 * len(C.morphisms))
+    report.record("distributive-law", dist, cases=2 * len(C.morphisms))
     return report
 
 
@@ -535,7 +514,13 @@ def factorisation_assignment(A: Awfs, S: LiftingStructure | None = None
 
 
 class ReconstructionError(ValueError):
-    pass
+    """A component of the awfs has zero or several candidates, so the
+    structure fails the factorisation axiom; ``witness`` names the
+    component and where."""
+
+    def __init__(self, what, key, cands):
+        super().__init__(f"{what} at {key}: {len(cands)} candidates {cands[:2]}")
+        self.witness = (what, key)
 
 
 def awfs_from_lifting(S: LiftingStructure, FA: FactorisationAssignment) -> Awfs:
@@ -555,8 +540,7 @@ def awfs_from_lifting(S: LiftingStructure, FA: FactorisationAssignment) -> Awfs:
 
     def unique(cands, what, key):
         if len(cands) != 1:
-            raise ReconstructionError(
-                f"{what} at {key}: {len(cands)} candidates {cands[:2]}")
+            raise ReconstructionError(what, key, cands)
         return cands[0]
 
     sq_map = {}
@@ -634,10 +618,9 @@ def roundtrip_compare(S: LiftingStructure, A: Awfs) -> Report:
                 n += 1
                 if set(src.squares(v, w)) != set(dst.squares(table[v], table[w])):
                     sqbad.append({"v": src.label(v), "w": src.label(w)})
+        report.record(f"{name}-squares", sqbad, cases=n)
         if sqbad:
-            report.add_violation(f"{name}-squares", sqbad, cases=n)
             return None
-        report.add_ok(f"{name}-squares", cases=n)
         return table
 
     lmap = match("left", L, T.left)
@@ -655,10 +638,7 @@ def roundtrip_compare(S: LiftingStructure, A: Awfs) -> Report:
                     bad.append({"j": L.label(j), "k": R.label(k),
                                 "square": [top, bottom], "original": a,
                                 "reconstructed": b})
-    if bad:
-        report.add_violation("fillers", bad, cases=n)
-    else:
-        report.add_ok("fillers", cases=n)
+    report.record("fillers", bad, cases=n)
     return report
 
 
@@ -685,10 +665,9 @@ def check_awfs_morphism(A: Awfs, A2: Awfs, K: dict) -> Report:
             bad.append({"kind": "lambda-triangle", "f": f})
         if comp[(ff2.rho[f], k)] != ff.rho[f]:
             bad.append({"kind": "rho-triangle", "f": f})
+    report.record("triangles", bad, cases=2 * len(C.morphisms))
     if bad:
-        report.add_violation("triangles", bad, cases=2 * len(C.morphisms))
         return report
-    report.add_ok("triangles", cases=2 * len(C.morphisms))
 
     nat, n = [], 0
     for f in C.morphisms:
@@ -699,10 +678,7 @@ def check_awfs_morphism(A: Awfs, A2: Awfs, K: dict) -> Report:
                 rhs = comp[(K[g], ff.sq_map[(f, g, top, bottom)])]
                 if lhs != rhs:
                     nat.append({"f": f, "g": g, "square": [top, bottom]})
-    if nat:
-        report.add_violation("naturality", nat, cases=n)
-    else:
-        report.add_ok("naturality", cases=n)
+    report.record("naturality", nat, cases=n)
 
     mon, com = [], []
     for f in C.morphisms:
@@ -720,14 +696,8 @@ def check_awfs_morphism(A: Awfs, A2: Awfs, K: dict) -> Report:
         rhs = comp[(A2.delta[f], K[f])]
         if lhs != rhs:
             com.append({"f": f, "lhs": lhs, "rhs": rhs})
-    if mon:
-        report.add_violation("monad-morphism", mon, cases=len(C.morphisms))
-    else:
-        report.add_ok("monad-morphism", cases=len(C.morphisms))
-    if com:
-        report.add_violation("comonad-morphism", com, cases=len(C.morphisms))
-    else:
-        report.add_ok("comonad-morphism", cases=len(C.morphisms))
+    report.record("monad-morphism", mon, cases=len(C.morphisms))
+    report.record("comonad-morphism", com, cases=len(C.morphisms))
     return report
 
 
@@ -756,20 +726,16 @@ def check_essential_image(U: ConcreteDouble,
             seen[lbl] = v
             if U.underlying(v) not in C.dom:
                 bad.append({"kind": "unknown-underlying", "vertical": lbl})
+        report.record("concreteness", bad, cases=len(verts))
         if bad:
-            report.add_violation("concreteness", bad, cases=len(verts))
             return
-        report.add_ok("concreteness", cases=len(verts))
 
         idbad = []
         for o in C.objects:
             i = U.identity_vertical(o)
             if U.underlying(i) != C.identities[o]:
                 idbad.append({"object": o})
-        if idbad:
-            report.add_violation("identity-verticals", idbad, cases=len(C.objects))
-        else:
-            report.add_ok("identity-verticals", cases=len(C.objects))
+        report.record("identity-verticals", idbad, cases=len(C.objects))
 
         rc = []
         for v in verts:
@@ -780,10 +746,7 @@ def check_essential_image(U: ConcreteDouble,
             ivert = U.identity_vertical(cod)
             if not U.is_square(v, ivert, f, C.identities[cod]):
                 rc.append({"vertical": U.label(v), "f": f})
-        if rc:
-            report.add_violation("right-connectedness", rc, cases=len(verts))
-        else:
-            report.add_ok("right-connectedness", cases=len(verts))
+        report.record("right-connectedness", rc, cases=len(verts))
 
     run_bounded(report, "essential-image", body, budget)
     if represented and not report.violations():

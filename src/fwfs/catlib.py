@@ -74,11 +74,9 @@ def check_split_reflection(S: SplitReflection) -> Report:
            if fu.obj_map[a] != a]
     bad += [{"kind": "morphism", "morphism": m} for m in A.morphisms
             if fu.mor_map[m] != m]
+    report.record("identity-counit", bad, cases=len(A.objects) + len(A.morphisms))
     if bad:
-        report.add_violation("identity-counit", bad,
-                             cases=len(A.objects) + len(A.morphisms))
         return report
-    report.add_ok("identity-counit", cases=len(A.objects) + len(A.morphisms))
 
     eta = S.eta
     report.merge(check_nat_transformation(
@@ -96,12 +94,7 @@ def check_split_reflection(S: SplitReflection) -> Report:
         # and f collapses the unit (triangle with identity counit)
         if f.mor_map[eta.components[b]] != A.identities[f.obj_map[b]]:
             tri.append({"kind": "adjoint-triangle", "object": b})
-    if tri:
-        report.add_violation("triangle-identities", tri,
-                             cases=len(A.objects) + len(B.objects))
-    else:
-        report.add_ok("triangle-identities",
-                      cases=len(A.objects) + len(B.objects))
+    report.record("triangle-identities", tri, cases=len(A.objects) + len(B.objects))
     return report
 
 
@@ -155,10 +148,9 @@ def check_split_fibration(F: SplitFibration,
     for key in F.theta:
         if key not in expected:
             bad.append({"kind": "spurious-lift", "key": list(key)})
+    report.record("cleavage", bad, cases=n)
     if bad:
-        report.add_violation("cleavage", bad, cases=n)
         return report
-    report.add_ok("cleavage", cases=n)
 
     def cartesian():
         cbad, n = [], 0
@@ -180,10 +172,7 @@ def check_split_fibration(F: SplitFibration,
                     if len(found) != 1:
                         cbad.append({"a": a, "h": h, "m": m, "g": g,
                                      "factorisations": found[:2]})
-        if cbad:
-            report.add_violation("cartesianness", cbad, cases=n)
-        else:
-            report.add_ok("cartesianness", cases=n)
+        report.record("cartesianness", cbad, cases=n)
     run_bounded(report, "cartesianness", cartesian, budget)
 
     sbad, n = [], 0
@@ -202,10 +191,7 @@ def check_split_fibration(F: SplitFibration,
             if lhs != rhs:
                 sbad.append({"kind": "composite-lift", "a": a, "h": h, "g": g,
                              "lhs": lhs, "rhs": rhs})
-    if sbad:
-        report.add_violation("splitness", sbad, cases=n)
-    else:
-        report.add_ok("splitness", cases=n)
+    report.record("splitness", sbad, cases=n)
     if budget:
         report.budget_used = budget.used
     return report
@@ -430,20 +416,20 @@ def build_roster(categories: dict, functors: dict,
     return CatRoster(categories, functors, base)
 
 
-class SplRefDouble(ConcreteDouble):
-    """Verticals are registered split reflections (by functor name);
-    squares are commuting functor squares compatible with the left
-    adjoints and units."""
+class _RosterDouble(ConcreteDouble):
+    """Verticals are the functor names of registered members, each over
+    itself; an identity left unregistered gets the member that
+    ``identity`` builds on its category."""
 
-    def __init__(self, roster: CatRoster, reflections: dict, name="SplRef"):
+    def __init__(self, roster: CatRoster, members: dict, identity, name):
         super().__init__(roster.cat, name)
         self.roster = roster
-        self.members = dict(reflections)
+        self.members = dict(members)
         for cname in roster.cat.objects:
             iname = roster.cat.identities[cname]
             if iname not in self.members:
-                self.members[iname] = identity_reflection(
-                    roster.categories[cname], name=iname)
+                self.members[iname] = identity(roster.categories[cname],
+                                               name=iname)
 
     def verticals(self):
         return sorted(self.members)
@@ -459,6 +445,15 @@ class SplRefDouble(ConcreteDouble):
 
     def identity_vertical(self, obj):
         return self.base.identities[obj]
+
+
+class SplRefDouble(_RosterDouble):
+    """Verticals are registered split reflections (by functor name);
+    squares are commuting functor squares compatible with the left
+    adjoints and units."""
+
+    def __init__(self, roster: CatRoster, reflections: dict, name="SplRef"):
+        super().__init__(roster, reflections, identity_reflection, name)
 
     def compose(self, w, v):
         name = self.base.comp[(w, v)]
@@ -497,34 +492,12 @@ class SplRefDouble(ConcreteDouble):
         return True
 
 
-class SplFibDouble(ConcreteDouble):
+class SplFibDouble(_RosterDouble):
     """Verticals are registered split fibrations; squares are commuting
     functor squares preserving the cleavages."""
 
     def __init__(self, roster: CatRoster, fibrations: dict, name="SplFib"):
-        super().__init__(roster.cat, name)
-        self.roster = roster
-        self.members = dict(fibrations)
-        for cname in roster.cat.objects:
-            iname = roster.cat.identities[cname]
-            if iname not in self.members:
-                self.members[iname] = identity_fibration(
-                    roster.categories[cname], name=iname)
-
-    def verticals(self):
-        return sorted(self.members)
-
-    def has_vertical(self, v):
-        return v in self.members
-
-    def underlying(self, v):
-        return v
-
-    def label(self, v):
-        return v
-
-    def identity_vertical(self, obj):
-        return self.base.identities[obj]
+        super().__init__(roster, fibrations, identity_fibration, name)
 
     def compose(self, w, v):
         name = self.base.comp[(w, v)]
@@ -688,10 +661,7 @@ def check_free_split_fibration(cd: CommaData, tests,
                         bad.append({"fibration": V.name,
                                     "square": [r.name or "r", s.name or "s"],
                                     "factorisations": len(found)})
-        if bad:
-            report.add_violation("free-fibration-universality", bad, cases=n)
-        else:
-            report.add_ok("free-fibration-universality", cases=n)
+        report.record("free-fibration-universality", bad, cases=n)
 
     run_bounded(report, "free-fibration-universality", body, budget)
     if budget:
@@ -741,11 +711,7 @@ def check_cofree_split_reflection(cd: CommaData, tests,
                         bad.append({"reflection": S.name,
                                     "square": [a.name or "a", b.name or "b"],
                                     "factorisations": len(found)})
-        if bad:
-            report.add_violation("cofree-reflection-couniversality", bad,
-                                 cases=n)
-        else:
-            report.add_ok("cofree-reflection-couniversality", cases=n)
+        report.record("cofree-reflection-couniversality", bad, cases=n)
 
     run_bounded(report, "cofree-reflection-couniversality", body, budget)
     if budget:

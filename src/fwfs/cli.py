@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (NotOrthogonal, ClosureError) as e:
+    except (NotOrthogonal, ClosureError, awfs_mod.ReconstructionError) as e:
         # bad mathematical input (witnessed), not a parse problem
         report = Report()
         report.add_violation(type(e).__name__, [{"witness": repr(e.witness)}])

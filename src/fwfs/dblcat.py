@@ -8,11 +8,14 @@ ever enumerated under an explicit budget (see :mod:`fwfs.lifting`).
 
 A concrete double category over C is the identity on objects and
 horizontal arrows, faithful on verticals and squares; squares are always
-stored with their (top, bottom) boundary pair.
+stored with their (top, bottom) boundary pair.  Each one has an opposite
+view over C^op (:class:`OppositeDouble`), which is how :mod:`fwfs.lifting`
+derives every left-lifting construction from its right-lifting dual.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .fincat import (FinCategory, Functor, check_category, check_functor,
@@ -41,6 +44,7 @@ class ConcreteDouble:
     def __init__(self, base: FinCategory, name=""):
         self.base = base
         self.name = name
+        self._op = None  # weak reference to the opposite view
 
     # --- vertical interface -------------------------------------------------
     def verticals(self):
@@ -77,8 +81,62 @@ class ConcreteDouble:
     def verticals_over(self, f, budget: Budget | None = None):
         return [v for v in self.verticals() if self.underlying(v) == f]
 
+    # --- enumeration order ----------------------------------------------------
+    def pairs(self, verts):
+        """The pairs (v, w) of ``verts``, v outer: the order in which the
+        checkers walk the squares v -> w."""
+        return ((v, w) for v in verts for w in verts)
+
+    def composable_pairs(self, verts):
+        """The pairs (v, w) of ``verts`` with w∘v defined, v outer."""
+        return ((v, w) for v, w in self.pairs(verts) if self.composable(w, v))
+
+    def op(self):
+        """The opposite view over C^op, built once for as long as
+        anything holds it."""
+        op = self._op() if self._op else None
+        if op is None:
+            op = OppositeDouble(self)
+            self._op = weakref.ref(op)
+        return op
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.name or ''} over {self.base!r}>"
+
+
+class OppositeDouble(ConcreteDouble):
+    """D^op over C^op as a view of D: the same verticals, labels and
+    underlying morphisms, vertical composition reversed, and the square
+    (top, bottom): v -> w of D^op is the square (bottom, top): w -> v of
+    D.  Squares and vertical pairs come in D's order.  The opposite of
+    the view is D."""
+
+    def __init__(self, D: ConcreteDouble, name=""):
+        super().__init__(D.base.op(), name or f"{D.name}^op")
+        self.explicit = D.explicit
+        self.original = D
+        # the verticals are D's: read them from D itself
+        self.verticals = D.verticals
+        self.verticals_over = D.verticals_over
+        self.has_vertical = D.has_vertical
+        self.underlying = D.underlying
+        self.label = D.label
+        self.identity_vertical = D.identity_vertical
+
+    def op(self):
+        return self.original
+
+    def compose(self, w, v):
+        return self.original.compose(v, w)
+
+    def is_square(self, v, w, top, bottom):
+        return self.original.is_square(w, v, bottom, top)
+
+    def squares(self, v, w):
+        return [(bottom, top) for top, bottom in self.original.squares(w, v)]
+
+    def pairs(self, verts):
+        return ((w, v) for v, w in self.original.pairs(verts))
 
 
 class ClassDouble(ConcreteDouble):
@@ -295,10 +353,9 @@ def check_double_category(D, budget: Budget | None = None) -> Report:
     for (b, a) in D.m_sq:
         if D.d.mor_map.get(b) != D.c.mor_map.get(a):
             tot.append({"kind": "non-stackable-squares", "beta": b, "alpha": a})
+    report.record("m-totality", tot, cases=n)
     if tot:
-        report.add_violation("m-totality", tot, cases=n)
         return report
-    report.add_ok("m-totality", cases=n)
 
     # m unital and associative on verticals
     unital = []
@@ -336,10 +393,7 @@ def check_double_category(D, budget: Budget | None = None) -> Report:
                     budget.spend()
                 if D.m_sq[(g, ba)] != D.m_sq[(D.m_sq[(g, b)], a)]:
                     assoc.append({"kind": "square", "gamma": g, "beta": b, "alpha": a})
-    if assoc:
-        report.add_violation("m-associativity", assoc, cases=n)
-    else:
-        report.add_ok("m-associativity", cases=n)
+    report.record("m-associativity", assoc, cases=n)
 
     # interchange: m is functorial on 2x2 grids of squares
     inter = []
@@ -366,10 +420,7 @@ def check_double_category(D, budget: Budget | None = None) -> Report:
     for (w, v), wv in D.m_vert.items():
         if D.m_sq[(D.cat1.identities[w], D.cat1.identities[v])] != D.cat1.identities[wv]:
             inter.append({"kind": "identity-square", "w": w, "v": v})
-    if inter:
-        report.add_violation("interchange", inter, cases=n)
-    else:
-        report.add_ok("interchange", cases=n)
+    report.record("interchange", inter, cases=n)
 
     if represented and report.ok:
         note = "represented realization: spot-checked under budget"
@@ -459,11 +510,9 @@ def inclusion_double_functor(sub: ConcreteDouble, sup: ConcreteDouble,
     obj_map = dict(vertical_map)
     mor_map = {}
     for mid in S.cat1.morphisms:
-        # square ids carry their boundary data in a fixed format
-        head, _, tail = mid.partition("]:")
-        top, bottom = head[1:].split("|")
-        v, w = tail.split("=>")
-        mor_map[mid] = square_id(vertical_map[v], vertical_map[w], top, bottom)
+        v, w = S.cat1.dom[mid], S.cat1.cod[mid]
+        mor_map[mid] = square_id(vertical_map[v], vertical_map[w],
+                                 S.d.mor_map[mid], S.c.mor_map[mid])
     f1 = Functor(S.cat1, T.cat1, obj_map, mor_map, name="incl1")
     return DoubleFunctor(S, T, f0, f1, name=f"{sub.name}->{sup.name}")
 
@@ -508,17 +557,13 @@ def check_concrete_double_map(F: ConcreteDoubleMap,
             bad.append({"kind": "not-a-vertical", "vertical": S.label(v)})
         elif T.underlying(img) != S.underlying(v):
             bad.append({"kind": "over-base", "vertical": S.label(v)})
+    report.record("verticals", bad, cases=n)
     if bad:
-        report.add_violation("verticals", bad, cases=n)
         return report
-    report.add_ok("verticals", cases=n)
 
     idbad = [{"object": o} for o in S.base.objects
              if F.vertical_map[S.identity_vertical(o)] != T.identity_vertical(o)]
-    if idbad:
-        report.add_violation("identity-verticals", idbad, cases=len(S.base.objects))
-    else:
-        report.add_ok("identity-verticals", cases=len(S.base.objects))
+    report.record("identity-verticals", idbad, cases=len(S.base.objects))
 
     cbad = []
     n = 0
@@ -532,10 +577,7 @@ def check_concrete_double_map(F: ConcreteDoubleMap,
                 if F.vertical_map[S.compose(w, v)] != \
                         T.compose(F.vertical_map[w], F.vertical_map[v]):
                     cbad.append({"w": S.label(w), "v": S.label(v)})
-    if cbad:
-        report.add_violation("vertical-composition", cbad, cases=n)
-    else:
-        report.add_ok("vertical-composition", cases=n)
+    report.record("vertical-composition", cbad, cases=n)
 
     sbad = []
     n = 0
@@ -548,10 +590,7 @@ def check_concrete_double_map(F: ConcreteDoubleMap,
                 if not T.is_square(F.vertical_map[v], F.vertical_map[w], top, bottom):
                     sbad.append({"v": S.label(v), "w": S.label(w),
                                  "square": [top, bottom]})
-    if sbad:
-        report.add_violation("square-preservation", sbad, cases=n)
-    else:
-        report.add_ok("square-preservation", cases=n)
+    report.record("square-preservation", sbad, cases=n)
     if budget:
         report.budget_used = budget.used
     return report

@@ -6,14 +6,15 @@ dictionary lookup.  Identifiers are opaque strings; equality is
 identifier equality and all enumeration is lexicographic, which makes
 reports reproducible byte for byte.
 
-Instances are immutable after construction (the square, filler and
-category-verdict caches are write-once memoization), so everything in
-this module is safe to use concurrently.
+Instances are immutable after construction (the square, filler,
+category-verdict and opposite-view caches are memoization), so
+everything in this module is safe to use concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from .report import Report
@@ -46,6 +47,7 @@ class FinCategory:
         self._squares = {}
         self._unique = {}
         self._is_category = None
+        self._op = None  # weak reference to the opposite view
 
     def hom(self, a, b):
         """Morphisms a -> b in lexicographic order."""
@@ -71,15 +73,18 @@ class FinCategory:
         key = (f, g)
         cached = self._squares.get(key)
         if cached is None:
-            out = []
-            comp = self.comp
-            for top in self.hom(self.dom[f], self.dom[g]):
-                gt = comp[(g, top)]
-                for bottom in self.hom(self.cod[f], self.cod[g]):
-                    if comp[(bottom, f)] == gt:
-                        out.append((top, bottom))
-            cached = self._squares[key] = tuple(out)
+            cached = self._squares[key] = tuple(self._commuting(f, g))
         return cached
+
+    def _commuting(self, f, g):
+        out = []
+        comp = self.comp
+        for top in self.hom(self.dom[f], self.dom[g]):
+            gt = comp[(g, top)]
+            for bottom in self.hom(self.cod[f], self.cod[g]):
+                if comp[(bottom, f)] == gt:
+                    out.append((top, bottom))
+        return out
 
     def unique_fillers(self, f, g):
         """Whether every commuting square f -> g has at most one diagonal.
@@ -105,27 +110,58 @@ class FinCategory:
             self._is_category = check_category(self).ok
         return self._is_category
 
+    def op(self):
+        """The opposite category C^op, built once for as long as anything
+        holds it, so that its caches go when it does."""
+        op = self._op() if self._op else None
+        if op is None:
+            op = OppositeCategory(self)
+            self._op = weakref.ref(op)
+        return op
+
     def __repr__(self):
         label = self.name or "FinCategory"
         return f"<{label}: {len(self.objects)} objects, {len(self.morphisms)} morphisms>"
 
 
-@dataclass(frozen=True)
-class Square:
-    """A commuting square in a category: right∘top = bottom∘left."""
+class OppositeCategory(FinCategory):
+    """C^op as a view of C: the same objects, morphisms and identities,
+    dom and cod swapped, and g∘f in C^op is f∘g in C.
 
-    left: str
-    right: str
-    top: str
-    bottom: str
+    Only the reversed composition table is built; hom-sets, squares,
+    the filler test and the category verdict are read from C.  A square
+    (top, bottom): f -> g of C^op is the square (bottom, top): g -> f of
+    C, with the same diagonals, and squares come in C's order; the
+    transposed squares are kept while the view lives.  The opposite of
+    the view is C itself.
+    """
 
+    def __init__(self, C: FinCategory):
+        self.name = f"{C.name or 'C'}^op"
+        self.objects = C.objects
+        self.dom, self.cod = C.cod, C.dom
+        self.morphisms = C.morphisms
+        self.identities = C.identities
+        self.comp = {(f, g): gf for (g, f), gf in C.comp.items()}
+        self.original = C
+        self._squares = {}
 
-def square_commutes(C: FinCategory, sq: Square) -> bool:
-    if C.dom[sq.top] != C.dom[sq.left] or C.cod[sq.top] != C.dom[sq.right]:
-        return False
-    if C.dom[sq.bottom] != C.cod[sq.left] or C.cod[sq.bottom] != C.cod[sq.right]:
-        return False
-    return C.comp[(sq.right, sq.top)] == C.comp[(sq.bottom, sq.left)]
+    def op(self):
+        return self.original
+
+    def hom(self, a, b):
+        return self.original.hom(b, a)
+
+    def _commuting(self, f, g):
+        return [(bottom, top) for top, bottom in self.original.squares(g, f)]
+
+    def unique_fillers(self, f, g):
+        return self.original.unique_fillers(g, f)
+
+    @property
+    def is_category(self):
+        # every category axiom is self-dual
+        return self.original.is_category
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +242,9 @@ def check_category(C: FinCategory) -> Report:
         for m in (g, f, gf):
             if m not in C.dom:
                 refs.append({"kind": "unknown-morphism", "entry": [g, f, gf], "morphism": m})
+    report.record("references", refs, cases=len(C.morphisms))
     if refs:
-        report.add_violation("references", refs, cases=len(C.morphisms))
         return report
-    report.add_ok("references", cases=len(C.morphisms))
 
     # the composition table must be defined exactly on composable pairs
     malformed = []
@@ -223,21 +258,19 @@ def check_category(C: FinCategory) -> Report:
                 n_pairs += 1
                 if (g, f) not in C.comp:
                     malformed.append({"kind": "undefined-composite", "g": g, "f": f})
+    report.record("composition-totality", malformed, cases=n_pairs)
     if malformed:
-        report.add_violation("composition-totality", malformed, cases=n_pairs)
         return report
-    report.add_ok("composition-totality", cases=n_pairs)
 
     bounds = []
     for (g, f), gf in C.comp.items():
         if C.dom[gf] != C.dom[f] or C.cod[gf] != C.cod[g]:
             bounds.append({"g": g, "f": f, "composite": gf})
+    report.record("boundaries", bounds, cases=n_pairs)
     if bounds:
         # a composite with the wrong boundary makes later lookups
         # ill-typed, so nothing after this is decidable
-        report.add_violation("boundaries", bounds, cases=n_pairs)
         return report
-    report.add_ok("boundaries", cases=n_pairs)
 
     units = []
     for f in C.morphisms:
@@ -245,10 +278,7 @@ def check_category(C: FinCategory) -> Report:
             units.append({"side": "right", "f": f})
         if C.comp[(C.identities[C.cod[f]], f)] != f:
             units.append({"side": "left", "f": f})
-    if units:
-        report.add_violation("units", units, cases=2 * len(C.morphisms))
-    else:
-        report.add_ok("units", cases=2 * len(C.morphisms))
+    report.record("units", units, cases=2 * len(C.morphisms))
 
     # Light's test: with lawful boundaries and units, associativity of
     # the triples whose middle is a generator implies all of it
@@ -269,10 +299,7 @@ def check_category(C: FinCategory) -> Report:
                 n_triples += 1
                 if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
                     assoc.append({"h": h, "g": g, "f": f})
-    if assoc:
-        report.add_violation("associativity", assoc, cases=n_triples)
-    else:
-        report.add_ok("associativity", cases=n_triples)
+    report.record("associativity", assoc, cases=n_triples)
     return report
 
 
@@ -287,12 +314,6 @@ class Functor:
     obj_map: dict
     mor_map: dict
     name: str = ""
-
-    def obj(self, o):
-        return self.obj_map[o]
-
-    def mor(self, m):
-        return self.mor_map[m]
 
     def __repr__(self):
         return f"<Functor {self.name or '?'}>"
@@ -335,17 +356,13 @@ def check_functor(F: Functor) -> Report:
             bad.append({"kind": "unknown-image", "morphism": m, "image": fm})
         elif T.dom[fm] != F.obj_map[S.dom[m]] or T.cod[fm] != F.obj_map[S.cod[m]]:
             bad.append({"kind": "boundary", "morphism": m, "image": fm})
+    report.record("boundaries", bad, cases=len(S.morphisms))
     if bad:
-        report.add_violation("boundaries", bad, cases=len(S.morphisms))
         return report
-    report.add_ok("boundaries", cases=len(S.morphisms))
 
     idbad = [{"object": o} for o in S.objects
              if F.mor_map[S.identities[o]] != T.identities[F.obj_map[o]]]
-    if idbad:
-        report.add_violation("identities", idbad, cases=len(S.objects))
-    else:
-        report.add_ok("identities", cases=len(S.objects))
+    report.record("identities", idbad, cases=len(S.objects))
 
     compbad = []
     n = 0
@@ -353,10 +370,7 @@ def check_functor(F: Functor) -> Report:
         n += 1
         if T.comp[(F.mor_map[g], F.mor_map[f])] != F.mor_map[gf]:
             compbad.append({"g": g, "f": f})
-    if compbad:
-        report.add_violation("composition", compbad, cases=n)
-    else:
-        report.add_ok("composition", cases=n)
+    report.record("composition", compbad, cases=n)
     return report
 
 
@@ -379,10 +393,9 @@ def check_nat_transformation(N: NatTransformation) -> Report:
             bad.append({"kind": "missing-component", "object": o})
         elif T.dom[c] != F.obj_map[o] or T.cod[c] != G.obj_map[o]:
             bad.append({"kind": "component-boundary", "object": o, "component": c})
+    report.record("components", bad, cases=len(S.objects))
     if bad:
-        report.add_violation("components", bad, cases=len(S.objects))
         return report
-    report.add_ok("components", cases=len(S.objects))
 
     nat = []
     for m in S.morphisms:
@@ -391,10 +404,7 @@ def check_nat_transformation(N: NatTransformation) -> Report:
         rhs = T.comp[(N.components[y], F.mor_map[m])]
         if lhs != rhs:
             nat.append({"morphism": m, "lhs": lhs, "rhs": rhs})
-    if nat:
-        report.add_violation("naturality", nat, cases=len(S.morphisms))
-    else:
-        report.add_ok("naturality", cases=len(S.morphisms))
+    report.record("naturality", nat, cases=len(S.morphisms))
     return report
 
 
@@ -430,11 +440,7 @@ def check_adjunction(A: Adjunction) -> Report:
                       A.unit.components[U.obj_map[d]])]
         if lhs != C.identities[U.obj_map[d]]:
             tri.append({"triangle": "right", "object": d, "got": lhs})
-    if tri:
-        report.add_violation("triangle-identities", tri,
-                             cases=len(C.objects) + len(D.objects))
-    else:
-        report.add_ok("triangle-identities", cases=len(C.objects) + len(D.objects))
+    report.record("triangle-identities", tri, cases=len(C.objects) + len(D.objects))
     return report
 
 

@@ -9,6 +9,13 @@ naturality in L-squares and in R-squares, and agreement with vertical
 composition on each side (a lift against a composite equals the two-step
 lift through the middle object).
 
+Every construction is written once, for the left-hand side and for RLP.
+A lifting structure (L, φ, R) on C is also the structure (R^op, φ^op,
+L^op) on C^op, with the same fillers: the square (top, bottom): Uj -> Vk
+of C is the square (bottom, top): Vk -> Uj of C^op.  So the right-hand
+laws are the left-hand laws of the dual, LLP(R) is RLP(R^op) seen from
+C, and reports are written back in C's terms (see :func:`_dual_witnesses`).
+
 LLP/RLP are never materialized globally: they are oracle-backed
 :class:`~fwfs.dblcat.ConcreteDouble` realizations whose verticals are
 enumerated per underlying morphism under an explicit budget.
@@ -20,8 +27,8 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 
-from .dblcat import ConcreteDouble, ConcreteDoubleMap
-from .fincat import FinCategory
+from .dblcat import ConcreteDouble, ConcreteDoubleMap, OppositeDouble
+from .fincat import FinCategory, OppositeCategory
 from .report import Budget, Report, run_bounded
 
 
@@ -33,6 +40,33 @@ def enumerate_fillers(C: FinCategory, left, right, top, bottom):
         if C.comp[(d, left)] == top and C.comp[(right, d)] == bottom:
             out.append(d)
     return out
+
+
+# ---------------------------------------------------------------------------
+# duality
+
+# a right-hand law is checked as the left-hand law of the dual structure;
+# its witnesses name the left-hand keys, renamed here to the right-hand
+# law's, and each square's edges are swapped back to C's orientation
+_HORIZONTAL = {"i": "k'", "j": "k", "left-square": "right-square"}
+_VERTICAL = {"i": "l", "j": "k"}
+_DUAL_KEYS = {
+    "filler-validity": {"j": "k"},
+    "horizontal-compatibility": _HORIZONTAL,
+    "horizontal-right": _HORIZONTAL,
+    "vertical-compatibility": _VERTICAL,
+    "vertical-right": _VERTICAL,
+    "universal-right": {"x": "y"},
+}
+_SQUARE_KEYS = ("square", "left-square")
+
+
+def _dual_witnesses(name, witnesses):
+    """Witnesses of a law checked on C^op, as check ``name`` writes them
+    on C."""
+    keys = _DUAL_KEYS.get(name, {})
+    return [{keys.get(k, k): v[::-1] if k in _SQUARE_KEYS else v
+             for k, v in w.items()} for w in witnesses]
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +89,8 @@ class NotOrthogonal(ValueError):
 
 class LiftingOperation:
     """Base interface: ``fill(j, k, top, bottom)`` returns the chosen
-    diagonal for the square (top, bottom): Uj -> Vk."""
+    diagonal for the square (top, bottom): Uj -> Vk, or None if there is
+    none."""
 
     def __init__(self, left: ConcreteDouble, right: ConcreteDouble):
         self.left = left
@@ -63,6 +98,10 @@ class LiftingOperation:
 
     def fill(self, j, k, top, bottom):
         raise NotImplementedError
+
+    def dual(self) -> LiftingOperation:
+        """The same fillers as an operation over (R^op, L^op)."""
+        return DualLifting(self)
 
     def table(self):
         """Materialize the full fill table keyed by labels; explicit
@@ -78,14 +117,30 @@ class LiftingOperation:
 
 
 class TableLifting(LiftingOperation):
-    """Finite table keyed by (label of j, label of k, top, bottom)."""
+    """Finite table keyed by (label of j, label of k, top, bottom); a
+    square the table lacks has no diagonal."""
 
     def __init__(self, left, right, entries):
         super().__init__(left, right)
         self.entries = dict(entries)
 
     def fill(self, j, k, top, bottom):
-        return self.entries[(self.left.label(j), self.right.label(k), top, bottom)]
+        return self.entries.get((self.left.label(j), self.right.label(k), top, bottom))
+
+
+class DualLifting(LiftingOperation):
+    """φ^op over (R^op, L^op): fill^op(k, j, bottom, top) = fill(j, k,
+    top, bottom), the square of C^op being that of C transposed."""
+
+    def __init__(self, op: LiftingOperation):
+        super().__init__(op.right.op(), op.left.op())
+        self.original = op
+
+    def fill(self, k, j, bottom, top):
+        return self.original.fill(j, k, top, bottom)
+
+    def dual(self):
+        return self.original
 
 
 class UniqueFillerLifting(LiftingOperation):
@@ -148,10 +203,93 @@ class LiftingStructure:
             raise SideMismatch("the lifting operation was built for other "
                                "double categories")
 
+    def dual(self) -> LiftingStructure:
+        """(R^op, φ^op, L^op), the same structure on C^op."""
+        return LiftingStructure(self.right.op(), self.op.dual(), self.left.op())
+
+
+def _forced(C: FinCategory, valid):
+    """Whether both sides of each compatibility case over squares x -> y
+    agree: they are valid diagonals of one square of C, and it has at
+    most one."""
+    return C.unique_fillers if valid and C.is_category else lambda x, y: False
+
+
+def _horizontal_left(op: LiftingOperation, valid, budget):
+    """Naturality in squares of L: fill(j,k,s,t)∘r1 = fill(i,k,s∘r0,t∘r1),
+    both diagonals of (s∘r0, t∘r1): Ui -> Vk.  Returns (witnesses, cases)."""
+    L, R = op.left, op.right
+    C = L.base
+    comp = C.comp
+    forced = _forced(C, valid)
+    rverts = [(k, R.underlying(k)) for k in sorted(R.verticals(), key=R.label)]
+    bad, n = [], 0
+    for i, j in L.pairs(sorted(L.verticals(), key=L.label)):
+        li, lj = L.underlying(i), L.underlying(j)
+        # the blocks against each k depend on i and j alone
+        blocks = [(k, C.squares(lj, rk), forced(li, rk)) for k, rk in rverts]
+        for r0, r1 in L.squares(i, j):
+            for k, squares, skip in blocks:
+                if skip:
+                    n += len(squares)
+                    continue
+                for s, t in squares:
+                    n += 1
+                    if budget:
+                        budget.spend()
+                    lhs = comp[(op.fill(j, k, s, t), r1)]
+                    rhs = op.fill(i, k, comp[(s, r0)], comp[(t, r1)])
+                    if lhs != rhs:
+                        bad.append({"i": L.label(i), "j": L.label(j),
+                                    "left-square": [r0, r1],
+                                    "square": [s, t],
+                                    "lhs": lhs, "rhs": rhs})
+    return bad, n
+
+
+def _vertical_left(op: LiftingOperation, valid, budget):
+    """fill(j∘i, k, s, t) = fill(j, k, fill(i, k, s, t∘Uj), t), both
+    diagonals of (s, t): U(j∘i) -> Vk when U(j∘i) = Uj∘Ui.  Returns
+    (witnesses, cases)."""
+    L, R = op.left, op.right
+    C = L.base
+    comp = C.comp
+    forced = _forced(C, valid)
+    lverts = sorted(L.verticals(), key=L.label)
+    rverts = sorted(R.verticals(), key=R.label)
+    lset = set(lverts)
+    bad, n = [], 0
+    for i, j in L.composable_pairs(lverts):
+        ji = L.compose(j, i)
+        uji = L.underlying(ji)
+        uj = L.underlying(j)
+        # the lifts against j∘i were validated, over Uj∘Ui
+        validated = ji in lset and comp[(uj, L.underlying(i))] == uji
+        for k in rverts:
+            rk = R.underlying(k)
+            squares = C.squares(uji, rk)
+            if validated and forced(uji, rk):
+                n += len(squares)
+                continue
+            for s, t in squares:
+                n += 1
+                if budget:
+                    budget.spend()
+                mid = op.fill(i, k, s, comp[(t, uj)])
+                rhs = op.fill(j, k, mid, t)
+                lhs = op.fill(ji, k, s, t)
+                if lhs != rhs:
+                    bad.append({"i": L.label(i), "j": L.label(j),
+                                "square": [s, t], "lhs": lhs, "rhs": rhs})
+    return bad, n
+
 
 def check_lifting_operation(op: LiftingOperation,
                             budget: Budget | None = None) -> Report:
     """Verify filler validity plus the four compatibility families.
+
+    The right-hand families, naturality in R-squares and composition in
+    R, are the left-hand ones of the dual operation on C^op.
 
     In every compatibility case both sides are diagonals of one
     commuting square of C, and both are valid once filler validity
@@ -164,19 +302,11 @@ def check_lifting_operation(op: LiftingOperation,
     C = L.base
     comp = C.comp
     report = Report()
-    lverts = sorted(L.verticals(), key=L.label)
-    rverts = sorted(R.verticals(), key=R.label)
-    lset, rset = set(lverts), set(rverts)
-    valid = False  # set once filler validity has passed
-
-    def forced(x, y):
-        """Both sides of each case over squares x -> y agree."""
-        return valid and C.is_category and C.unique_fillers(x, y)
 
     def validity():
-        nonlocal valid
         bad, n = [], 0
-        for j in lverts:
+        rverts = sorted(R.verticals(), key=R.label)
+        for j in sorted(L.verticals(), key=L.label):
             lj = L.underlying(j)
             for k in rverts:
                 rk = R.underlying(k)
@@ -189,149 +319,23 @@ def check_lifting_operation(op: LiftingOperation,
                             or comp[(d, lj)] != top or comp[(rk, d)] != bottom):
                         bad.append({"j": L.label(j), "k": R.label(k),
                                     "square": [top, bottom], "diagonal": d})
-        if bad:
-            report.add_violation("filler-validity", bad, cases=n)
-        else:
-            report.add_ok("filler-validity", cases=n)
-            valid = True
+        report.record("filler-validity", bad, cases=n)
 
-    def horizontal_left():
-        # naturality in squares of L: fill(j,k,s,t)∘r1 = fill(i,k,s∘r0,t∘r1),
-        # both diagonals of (s∘r0, t∘r1): Ui -> Vk
-        bad, n = [], 0
-        for i in lverts:
-            li = L.underlying(i)
-            for j in lverts:
-                for r0, r1 in L.squares(i, j):
-                    lj = L.underlying(j)
-                    for k in rverts:
-                        rk = R.underlying(k)
-                        squares = C.squares(lj, rk)
-                        if forced(li, rk):
-                            n += len(squares)
-                            continue
-                        for s, t in squares:
-                            n += 1
-                            if budget:
-                                budget.spend()
-                            lhs = comp[(op.fill(j, k, s, t), r1)]
-                            rhs = op.fill(i, k, comp[(s, r0)], comp[(t, r1)])
-                            if lhs != rhs:
-                                bad.append({"i": L.label(i), "j": L.label(j),
-                                            "left-square": [r0, r1],
-                                            "square": [s, t],
-                                            "lhs": lhs, "rhs": rhs})
-        if bad:
-            report.add_violation("horizontal-left", bad, cases=n)
-        else:
-            report.add_ok("horizontal-left", cases=n)
-
-    def horizontal_right():
-        # naturality in squares of R: q0∘fill(j,k,u,v) = fill(j,k',q0∘u,q1∘v),
-        # both diagonals of (q0∘u, q1∘v): Uj -> Vk'
-        bad, n = [], 0
-        for k in rverts:
-            for k2 in rverts:
-                rk2 = R.underlying(k2)
-                for q0, q1 in R.squares(k, k2):
-                    rk = R.underlying(k)
-                    for j in lverts:
-                        lj = L.underlying(j)
-                        squares = C.squares(lj, rk)
-                        if forced(lj, rk2):
-                            n += len(squares)
-                            continue
-                        for u, v in squares:
-                            n += 1
-                            if budget:
-                                budget.spend()
-                            lhs = comp[(q0, op.fill(j, k, u, v))]
-                            rhs = op.fill(j, k2, comp[(q0, u)], comp[(q1, v)])
-                            if lhs != rhs:
-                                bad.append({"k": R.label(k), "k'": R.label(k2),
-                                            "right-square": [q0, q1],
-                                            "square": [u, v],
-                                            "lhs": lhs, "rhs": rhs})
-        if bad:
-            report.add_violation("horizontal-right", bad, cases=n)
-        else:
-            report.add_ok("horizontal-right", cases=n)
-
-    def vertical_left():
-        # fill(j∘i, k, s, t) = fill(j, k, fill(i, k, s, t∘Uj), t), both
-        # diagonals of (s, t): U(j∘i) -> Vk when U(j∘i) = Uj∘Ui
-        bad, n = [], 0
-        for i in lverts:
-            for j in lverts:
-                if not L.composable(j, i):
-                    continue
-                ji = L.compose(j, i)
-                uji = L.underlying(ji)
-                uj = L.underlying(j)
-                # the lifts against j∘i were validated, over Uj∘Ui
-                validated = ji in lset and comp[(uj, L.underlying(i))] == uji
-                for k in rverts:
-                    rk = R.underlying(k)
-                    squares = C.squares(uji, rk)
-                    if validated and forced(uji, rk):
-                        n += len(squares)
-                        continue
-                    for s, t in squares:
-                        n += 1
-                        if budget:
-                            budget.spend()
-                        mid = op.fill(i, k, s, comp[(t, uj)])
-                        rhs = op.fill(j, k, mid, t)
-                        lhs = op.fill(ji, k, s, t)
-                        if lhs != rhs:
-                            bad.append({"i": L.label(i), "j": L.label(j),
-                                        "square": [s, t], "lhs": lhs, "rhs": rhs})
-        if bad:
-            report.add_violation("vertical-left", bad, cases=n)
-        else:
-            report.add_ok("vertical-left", cases=n)
-
-    def vertical_right():
-        # fill(j, l∘k, u, v) = fill(j, k, u, fill(j, l, Vk∘u, v)), both
-        # diagonals of (u, v): Uj -> V(l∘k) when V(l∘k) = Vl∘Vk
-        bad, n = [], 0
-        for k in rverts:
-            for l in rverts:
-                if not R.composable(l, k):
-                    continue
-                lk = R.compose(l, k)
-                ulk = R.underlying(lk)
-                uk = R.underlying(k)
-                validated = lk in rset and comp[(R.underlying(l), uk)] == ulk
-                for j in lverts:
-                    lj = L.underlying(j)
-                    squares = C.squares(lj, ulk)
-                    if validated and forced(lj, ulk):
-                        n += len(squares)
-                        continue
-                    for u, v in squares:
-                        n += 1
-                        if budget:
-                            budget.spend()
-                        mid = op.fill(j, l, comp[(uk, u)], v)
-                        rhs = op.fill(j, k, u, mid)
-                        lhs = op.fill(j, lk, u, v)
-                        if lhs != rhs:
-                            bad.append({"k": R.label(k), "l": R.label(l),
-                                        "square": [u, v], "lhs": lhs, "rhs": rhs})
-        if bad:
-            report.add_violation("vertical-right", bad, cases=n)
-        else:
-            report.add_ok("vertical-right", cases=n)
-
-    for name, fn in (("filler-validity", validity),
-                     ("horizontal-left", horizontal_left),
-                     ("horizontal-right", horizontal_right),
-                     ("vertical-left", vertical_left),
-                     ("vertical-right", vertical_right)):
-        run_bounded(report, name, fn, budget)
-        if not report.ok and report.violations():
+    run_bounded(report, "filler-validity", validity, budget)
+    valid = report.ok
+    dual = op.dual()
+    for name, law, on in (("horizontal-left", _horizontal_left, op),
+                          ("horizontal-right", _horizontal_left, dual),
+                          ("vertical-left", _vertical_left, op),
+                          ("vertical-right", _vertical_left, dual)):
+        if report.violations():
             break
+
+        def family():
+            bad, n = law(on, valid, budget)
+            report.record(name, bad if on is op else _dual_witnesses(name, bad),
+                          cases=n)
+        run_bounded(report, name, family, budget)
     return report
 
 
@@ -355,36 +359,45 @@ class RlpVertical:
         self.theta = dict(theta)
         self._label = f"{f}~{_theta_digest(f, self.theta)}"
 
+    @staticmethod
+    def key(label, top, bottom):
+        """The theta key of the filler of (top, bottom): Uj -> f."""
+        return label, top, bottom
+
+    def lift(self, label, top, bottom):
+        """The stored filler of (top, bottom): Uj -> f."""
+        return self.theta[self.key(label, top, bottom)]
+
     def __eq__(self, other):
-        return (isinstance(other, RlpVertical)
+        return (type(other) is type(self)
                 and self.f == other.f and self.theta == other.theta)
 
     def __hash__(self):
         return hash(self._label)
 
     def __repr__(self):
-        return f"<RlpVertical {self._label}>"
+        return f"<{type(self).__name__} {self._label}>"
 
 
-class LlpVertical:
-    """Dual: theta[(label k, top, bottom)] fills (top, bottom): f -> Vk."""
+class LlpVertical(RlpVertical):
+    """Dual: theta[(label k, top, bottom)] fills (top, bottom): f -> Vk.
 
-    __slots__ = ("f", "theta", "_label")
+    It is the vertical of RLP(R^op) over f, keyed by the squares of C
+    rather than of C^op, so its label, its lookups and any missing key
+    read as in C."""
 
-    def __init__(self, f, theta):
-        self.f = f
-        self.theta = dict(theta)
-        self._label = f"{f}~{_theta_digest(f, self.theta)}"
+    __slots__ = ()
 
-    def __eq__(self, other):
-        return (isinstance(other, LlpVertical)
-                and self.f == other.f and self.theta == other.theta)
+    @staticmethod
+    def key(label, top, bottom):
+        # (top, bottom): Vk -> f in C^op is (bottom, top): f -> Vk in C
+        return label, bottom, top
 
-    def __hash__(self):
-        return hash(self._label)
 
-    def __repr__(self):
-        return f"<LlpVertical {self._label}>"
+def _vertical_class(C: FinCategory):
+    """The verticals of RLP(L) for L over C: over C^op they are those of
+    LLP(L^op) on C."""
+    return LlpVertical if isinstance(C, OppositeCategory) else RlpVertical
 
 
 def rlp_verify(L: ConcreteDouble, v: RlpVertical,
@@ -411,7 +424,7 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
             n += 1
             if budget:
                 budget.spend()
-            d = v.theta.get((L.label(j), top, bottom))
+            d = v.theta.get(v.key(L.label(j), top, bottom))
             if d is None:
                 bad.append({"kind": "missing", "j": L.label(j),
                             "square": [top, bottom]})
@@ -419,62 +432,50 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
                     or comp[(d, lj)] != top or comp[(f, d)] != bottom):
                 bad.append({"kind": "invalid", "j": L.label(j),
                             "square": [top, bottom], "diagonal": d})
+    report.record("filler-validity", bad, cases=n)
     if bad:
-        report.add_violation("filler-validity", bad, cases=n)
         return report
-    report.add_ok("filler-validity", cases=n)
     forced = C.unique_fillers if C.is_category else lambda x, y: False
 
     bad, n = [], 0
-    for i in lverts:
+    for i, j in L.pairs(lverts):
         # both sides fill (s∘r0, t∘r1): Ui -> f
         skip = forced(L.underlying(i), f)
-        for j in lverts:
-            for r0, r1 in L.squares(i, j):
-                lj = L.underlying(j)
-                squares = C.squares(lj, f)
-                if skip:
-                    n += len(squares)
-                    continue
-                for s, t in squares:
-                    n += 1
-                    if budget:
-                        budget.spend()
-                    lhs = comp[(v.theta[(L.label(j), s, t)], r1)]
-                    rhs = v.theta[(L.label(i), comp[(s, r0)], comp[(t, r1)])]
-                    if lhs != rhs:
-                        bad.append({"i": L.label(i), "j": L.label(j),
-                                    "left-square": [r0, r1], "square": [s, t]})
-    if bad:
-        report.add_violation("horizontal-compatibility", bad, cases=n)
-    else:
-        report.add_ok("horizontal-compatibility", cases=n)
-
-    bad, n = [], 0
-    lset = set(lverts)
-    for i in lverts:
-        for j in lverts:
-            if not L.composable(j, i):
-                continue
-            ji = L.compose(j, i)
-            uji, uj = L.underlying(ji), L.underlying(j)
-            squares = C.squares(uji, f)
-            # both sides fill (s, t): U(j∘i) -> f when U(j∘i) = Uj∘Ui
-            if (ji in lset and comp[(uj, L.underlying(i))] == uji
-                    and forced(uji, f)):
+        squares = C.squares(L.underlying(j), f)
+        for r0, r1 in L.squares(i, j):
+            if skip:
                 n += len(squares)
                 continue
             for s, t in squares:
                 n += 1
                 if budget:
                     budget.spend()
-                mid = v.theta[(L.label(i), s, comp[(t, uj)])]
-                if v.theta[(L.label(ji), s, t)] != v.theta[(L.label(j), mid, t)]:
-                    bad.append({"i": L.label(i), "j": L.label(j), "square": [s, t]})
-    if bad:
-        report.add_violation("vertical-compatibility", bad, cases=n)
-    else:
-        report.add_ok("vertical-compatibility", cases=n)
+                lhs = comp[(v.lift(L.label(j), s, t), r1)]
+                rhs = v.lift(L.label(i), comp[(s, r0)], comp[(t, r1)])
+                if lhs != rhs:
+                    bad.append({"i": L.label(i), "j": L.label(j),
+                                "left-square": [r0, r1], "square": [s, t]})
+    report.record("horizontal-compatibility", bad, cases=n)
+
+    bad, n = [], 0
+    lset = set(lverts)
+    for i, j in L.composable_pairs(lverts):
+        ji = L.compose(j, i)
+        uji, uj = L.underlying(ji), L.underlying(j)
+        squares = C.squares(uji, f)
+        # both sides fill (s, t): U(j∘i) -> f when U(j∘i) = Uj∘Ui
+        if (ji in lset and comp[(uj, L.underlying(i))] == uji
+                and forced(uji, f)):
+            n += len(squares)
+            continue
+        for s, t in squares:
+            n += 1
+            if budget:
+                budget.spend()
+            mid = v.lift(L.label(i), s, comp[(t, uj)])
+            if v.lift(L.label(ji), s, t) != v.lift(L.label(j), mid, t):
+                bad.append({"i": L.label(i), "j": L.label(j), "square": [s, t]})
+    report.record("vertical-compatibility", bad, cases=n)
     if budget:
         report.budget_used = budget.used
     return report
@@ -482,114 +483,32 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
 
 def llp_verify(R: ConcreteDouble, v: LlpVertical,
                budget: Budget | None = None) -> Report:
-    """Dual of :func:`rlp_verify`, forced blocks included."""
-    C = R.base
-    comp = C.comp
-    report = Report()
-    f = v.f
-    if f not in C.dom:
-        report.add_violation("boundaries", [{"kind": "unknown-morphism", "f": f}])
-        return report
-    rverts = sorted(R.verticals(), key=R.label)
-
-    bad, n = [], 0
-    for k in rverts:
-        rk = R.underlying(k)
-        for top, bottom in C.squares(f, rk):
-            n += 1
-            if budget:
-                budget.spend()
-            d = v.theta.get((R.label(k), top, bottom))
-            if d is None:
-                bad.append({"kind": "missing", "k": R.label(k),
-                            "square": [top, bottom]})
-            elif (C.dom.get(d) != C.cod[f] or C.cod.get(d) != C.dom[rk]
-                    or comp[(d, f)] != top or comp[(rk, d)] != bottom):
-                bad.append({"kind": "invalid", "k": R.label(k),
-                            "square": [top, bottom], "diagonal": d})
-    if bad:
-        report.add_violation("filler-validity", bad, cases=n)
-        return report
-    report.add_ok("filler-validity", cases=n)
-    forced = C.unique_fillers if C.is_category else lambda x, y: False
-
-    bad, n = [], 0
-    for k in rverts:
-        for k2 in rverts:
-            # both sides fill (q0∘u, q1∘t): f -> Vk'
-            skip = forced(f, R.underlying(k2))
-            for q0, q1 in R.squares(k, k2):
-                rk = R.underlying(k)
-                squares = C.squares(f, rk)
-                if skip:
-                    n += len(squares)
-                    continue
-                for u, t in squares:
-                    n += 1
-                    if budget:
-                        budget.spend()
-                    lhs = comp[(q0, v.theta[(R.label(k), u, t)])]
-                    rhs = v.theta[(R.label(k2), comp[(q0, u)], comp[(q1, t)])]
-                    if lhs != rhs:
-                        bad.append({"k": R.label(k), "k'": R.label(k2),
-                                    "right-square": [q0, q1], "square": [u, t]})
-    if bad:
-        report.add_violation("horizontal-compatibility", bad, cases=n)
-    else:
-        report.add_ok("horizontal-compatibility", cases=n)
-
-    bad, n = [], 0
-    rset = set(rverts)
-    for k in rverts:
-        for l in rverts:
-            if not R.composable(l, k):
-                continue
-            lk = R.compose(l, k)
-            ulk, uk = R.underlying(lk), R.underlying(k)
-            squares = C.squares(f, ulk)
-            # both sides fill (u, t): f -> V(l∘k) when V(l∘k) = Vl∘Vk
-            if (lk in rset and comp[(R.underlying(l), uk)] == ulk
-                    and forced(f, ulk)):
-                n += len(squares)
-                continue
-            for u, t in squares:
-                n += 1
-                if budget:
-                    budget.spend()
-                mid = v.theta[(R.label(l), comp[(uk, u)], t)]
-                if v.theta[(R.label(lk), u, t)] != v.theta[(R.label(k), u, mid)]:
-                    bad.append({"k": R.label(k), "l": R.label(l), "square": [u, t]})
-    if bad:
-        report.add_violation("vertical-compatibility", bad, cases=n)
-    else:
-        report.add_ok("vertical-compatibility", cases=n)
-    if budget:
-        report.budget_used = budget.used
+    """Objecthood in LLP(R): :func:`rlp_verify` against R^op."""
+    report = rlp_verify(R.op(), v, budget)
+    for c in report.checks:
+        c.witnesses = _dual_witnesses(c.name, c.witnesses)
     return report
+
+
+def _rlp_vertical(L: ConcreteDouble, f, lift) -> RlpVertical:
+    """f with the filler lift(j, top, bottom) of each square
+    (top, bottom): Uj -> f."""
+    C = L.base
+    V = _vertical_class(C)
+    return V(f, {V.key(L.label(j), top, bottom): lift(j, top, bottom)
+                 for j in L.verticals()
+                 for top, bottom in C.squares(L.underlying(j), f)})
 
 
 def identity_rlp_vertical(L: ConcreteDouble, obj) -> RlpVertical:
     """Identity morphisms lift uniquely: the filler is forced to be the
     bottom edge of the square."""
-    C = L.base
-    f = C.identities[obj]
-    theta = {}
-    for j in L.verticals():
-        lj = L.underlying(j)
-        for top, bottom in C.squares(lj, f):
-            theta[(L.label(j), top, bottom)] = bottom
-    return RlpVertical(f, theta)
+    return _rlp_vertical(L, L.base.identities[obj],
+                         lambda j, top, bottom: bottom)
 
 
 def identity_llp_vertical(R: ConcreteDouble, obj) -> LlpVertical:
-    C = R.base
-    f = C.identities[obj]
-    theta = {}
-    for k in R.verticals():
-        rk = R.underlying(k)
-        for top, bottom in C.squares(f, rk):
-            theta[(R.label(k), top, bottom)] = top
-    return LlpVertical(f, theta)
+    return identity_rlp_vertical(R.op(), obj)
 
 
 def rlp_vertical_compose(L: ConcreteDouble, w: RlpVertical,
@@ -600,32 +519,19 @@ def rlp_vertical_compose(L: ConcreteDouble, w: RlpVertical,
     comp = C.comp
     if C.cod[v.f] != C.dom[w.f]:
         raise ValueError(f"non-composable: {w.f} after {v.f}")
-    wf = comp[(w.f, v.f)]
-    theta = {}
-    for j in L.verticals():
-        lj = L.underlying(j)
-        for u, t in C.squares(lj, wf):
-            d1 = w.theta[(L.label(j), comp[(v.f, u)], t)]
-            theta[(L.label(j), u, t)] = v.theta[(L.label(j), u, d1)]
-    return RlpVertical(wf, theta)
+
+    def lift(j, u, t):
+        d1 = w.lift(L.label(j), comp[(v.f, u)], t)
+        return v.lift(L.label(j), u, d1)
+
+    return _rlp_vertical(L, comp[(w.f, v.f)], lift)
 
 
 def llp_vertical_compose(R: ConcreteDouble, w: LlpVertical,
                          v: LlpVertical) -> LlpVertical:
-    """Composite w after v; lift first against the lower factor v, then
-    against w through the middle."""
-    C = R.base
-    comp = C.comp
-    if C.cod[v.f] != C.dom[w.f]:
-        raise ValueError(f"non-composable: {w.f} after {v.f}")
-    wf = comp[(w.f, v.f)]
-    theta = {}
-    for k in R.verticals():
-        rk = R.underlying(k)
-        for s, t in C.squares(wf, rk):
-            d1 = v.theta[(R.label(k), s, comp[(t, w.f)])]
-            theta[(R.label(k), s, t)] = w.theta[(R.label(k), d1, t)]
-    return LlpVertical(wf, theta)
+    """Composite w after v, which is v after w in C^op: lift first
+    against the lower factor v, then against w through the middle."""
+    return rlp_vertical_compose(R.op(), v, w)
 
 
 class RlpDouble(ConcreteDouble):
@@ -639,6 +545,7 @@ class RlpDouble(ConcreteDouble):
         super().__init__(L.base, name or f"RLP({L.name})")
         self.L = L
         self.budget = budget
+        self.vertical = _vertical_class(L.base)
         self._over = {}
         self._verified = {}
 
@@ -661,7 +568,7 @@ class RlpDouble(ConcreteDouble):
         for j in sorted(L.verticals(), key=L.label):
             lj = L.underlying(j)
             for top, bottom in C.squares(lj, f):
-                keys.append((L.label(j), top, bottom))
+                keys.append(self.vertical.key(L.label(j), top, bottom))
                 fillers = enumerate_fillers(C, lj, f, top, bottom)
                 if not fillers:
                     self._over[f] = ()
@@ -670,7 +577,7 @@ class RlpDouble(ConcreteDouble):
         out = []
         for combo in itertools.product(*choices):
             budget.spend()
-            cand = RlpVertical(f, dict(zip(keys, combo)))
+            cand = self.vertical(f, dict(zip(keys, combo)))
             # only accepted candidates are kept, so rejected ones stay garbage
             if self._verified.get(cand) or rlp_verify(L, cand).ok:
                 self._verified[cand] = True
@@ -685,7 +592,7 @@ class RlpDouble(ConcreteDouble):
         return out
 
     def has_vertical(self, v):
-        return isinstance(v, RlpVertical) and self.verified(v)
+        return type(v) is self.vertical and self.verified(v)
 
     def underlying(self, v):
         return v.f
@@ -714,100 +621,19 @@ class RlpDouble(ConcreteDouble):
             if decided and C.unique_fillers(lj, w.f):
                 continue
             for u, t in C.squares(lj, v.f):
-                lhs = comp[(top, v.theta[(L.label(j), u, t)])]
-                rhs = w.theta[(L.label(j), comp[(top, u)], comp[(bottom, t)])]
+                lhs = comp[(top, v.lift(L.label(j), u, t))]
+                rhs = w.lift(L.label(j), comp[(top, u)], comp[(bottom, t)])
                 if lhs != rhs:
                     return False
         return True
 
 
-class LlpDouble(ConcreteDouble):
-    """Oracle-backed LLP(R), dual to :class:`RlpDouble`."""
-
-    explicit = False
+class LlpDouble(OppositeDouble):
+    """Oracle-backed LLP(R): RLP(R^op) seen from C."""
 
     def __init__(self, R: ConcreteDouble, budget: Budget | None = None, name=""):
-        super().__init__(R.base, name or f"LLP({R.name})")
+        super().__init__(RlpDouble(R.op(), budget), name or f"LLP({R.name})")
         self.R = R
-        self.budget = budget
-        self._over = {}
-        self._verified = {}
-
-    def verified(self, v):
-        """``llp_verify(R, v).ok``, computed once per vertical."""
-        ok = self._verified.get(v)
-        if ok is None:
-            ok = self._verified[v] = llp_verify(self.R, v).ok
-        return ok
-
-    def verticals_over(self, f, budget: Budget | None = None):
-        cached = self._over.get(f)
-        if cached is not None:
-            return list(cached)
-        budget = budget or self.budget or Budget()
-        C = self.base
-        R = self.R
-        keys = []
-        choices = []
-        for k in sorted(R.verticals(), key=R.label):
-            rk = R.underlying(k)
-            for top, bottom in C.squares(f, rk):
-                keys.append((R.label(k), top, bottom))
-                fillers = enumerate_fillers(C, f, rk, top, bottom)
-                if not fillers:
-                    self._over[f] = ()
-                    return []
-                choices.append(fillers)
-        out = []
-        for combo in itertools.product(*choices):
-            budget.spend()
-            cand = LlpVertical(f, dict(zip(keys, combo)))
-            # only accepted candidates are kept, so rejected ones stay garbage
-            if self._verified.get(cand) or llp_verify(R, cand).ok:
-                self._verified[cand] = True
-                out.append(cand)
-        self._over[f] = tuple(out)
-        return out
-
-    def verticals(self):
-        out = []
-        for f in self.base.morphisms:
-            out.extend(self.verticals_over(f))
-        return out
-
-    def has_vertical(self, v):
-        return isinstance(v, LlpVertical) and self.verified(v)
-
-    def underlying(self, v):
-        return v.f
-
-    def label(self, v):
-        return v._label
-
-    def identity_vertical(self, obj):
-        return identity_llp_vertical(self.R, obj)
-
-    def compose(self, w, v):
-        return llp_vertical_compose(self.R, w, v)
-
-    def is_square(self, v, w, top, bottom):
-        C = self.base
-        comp = C.comp
-        if (top, bottom) not in C.squares(v.f, w.f):
-            return False
-        R = self.R
-        # for verified v and w both sides fill (s∘top, t∘bottom): v.f -> Vk
-        decided = C.is_category and self.verified(v) and self.verified(w)
-        for k in R.verticals():
-            rk = R.underlying(k)
-            if decided and C.unique_fillers(v.f, rk):
-                continue
-            for s, t in C.squares(w.f, rk):
-                lhs = comp[(w.theta[(R.label(k), s, t)], bottom)]
-                rhs = v.theta[(R.label(k), comp[(s, top)], comp[(t, bottom)])]
-                if lhs != rhs:
-                    return False
-        return True
 
 
 def rlp_double_category(L: ConcreteDouble, budget: Budget | None = None
@@ -829,36 +655,18 @@ def transpose_r(S: LiftingStructure, budget: Budget | None = None
     """R -> RLP(L): each right vertical k becomes its underlying morphism
     equipped with the operation's fillers against every left vertical."""
     L, R = S.left, S.right
-    C = L.base
-    target = RlpDouble(L, budget)
-    vmap = {}
-    for k in R.verticals():
-        rk = R.underlying(k)
-        theta = {}
-        for j in L.verticals():
-            lj = L.underlying(j)
-            for top, bottom in C.squares(lj, rk):
-                theta[(L.label(j), top, bottom)] = S.op.fill(j, k, top, bottom)
-        vmap[k] = RlpVertical(rk, theta)
-    return ConcreteDoubleMap(R, target, vmap, name="phi_r")
+    vmap = {k: _rlp_vertical(L, R.underlying(k), lambda j, top, bottom, k=k:
+                             S.op.fill(j, k, top, bottom))
+            for k in R.verticals()}
+    return ConcreteDoubleMap(R, RlpDouble(L, budget), vmap, name="phi_r")
 
 
 def transpose_l(S: LiftingStructure, budget: Budget | None = None
                 ) -> ConcreteDoubleMap:
-    """L -> LLP(R), dual of :func:`transpose_r`."""
-    L, R = S.left, S.right
-    C = L.base
-    target = LlpDouble(R, budget)
-    vmap = {}
-    for j in L.verticals():
-        lj = L.underlying(j)
-        theta = {}
-        for k in R.verticals():
-            rk = R.underlying(k)
-            for top, bottom in C.squares(lj, rk):
-                theta[(R.label(k), top, bottom)] = S.op.fill(j, k, top, bottom)
-        vmap[j] = LlpVertical(lj, theta)
-    return ConcreteDoubleMap(L, target, vmap, name="phi_l")
+    """L -> LLP(R): :func:`transpose_r` of the dual structure."""
+    phi = transpose_r(S.dual(), budget)
+    return ConcreteDoubleMap(S.left, LlpDouble(S.right, budget),
+                             phi.vertical_map, name="phi_l")
 
 
 def restrict(op: LiftingOperation, F: ConcreteDoubleMap | None,
@@ -901,10 +709,7 @@ def check_structure_morphism(S: LiftingStructure, S2: LiftingStructure,
                 if lhs != rhs:
                     bad.append({"j": L.label(j), "k'": R2.label(k2),
                                 "square": [top, bottom], "lhs": lhs, "rhs": rhs})
-    if bad:
-        report.add_violation("operation-agreement", bad, cases=n)
-    else:
-        report.add_ok("operation-agreement", cases=n)
+    report.record("operation-agreement", bad, cases=n)
     if budget:
         report.budget_used = budget.used
     return report
@@ -921,14 +726,10 @@ def check_pre_awfs(S: LiftingStructure, budget: Budget | None = None) -> Report:
     report = Report()
     if budget is None:
         budget = Budget()
-    L, R = S.left, S.right
-    C = L.base
-    tr = transpose_r(S, budget)
-    tl = transpose_l(S, budget)
-    rlp: RlpDouble = tr.target
-    llp: LlpDouble = tl.target
+    C = S.left.base
 
-    def side(name, source, trans, target):
+    def side(name, trans):
+        source, target = trans.source, trans.target
         images = {}
         bad = []
         for v in source.verticals():
@@ -943,11 +744,9 @@ def check_pre_awfs(S: LiftingStructure, budget: Budget | None = None) -> Report:
                             "verticals": [source.label(images[key]),
                                           source.label(v)]})
             images[key] = v
+        report.record(f"{name}-verticals-injective", bad, cases=len(images))
         if bad:
-            report.add_violation(f"{name}-verticals-injective", bad,
-                                 cases=len(images))
             return
-        report.add_ok(f"{name}-verticals-injective", cases=len(images))
 
         def surjective():
             missing = []
@@ -958,11 +757,7 @@ def check_pre_awfs(S: LiftingStructure, budget: Budget | None = None) -> Report:
                     if target.label(cand) not in images:
                         missing.append({"kind": "unmatched-vertical", "f": f,
                                         "vertical": target.label(cand)})
-            if missing:
-                report.add_violation(f"{name}-verticals-surjective", missing,
-                                     cases=n)
-            else:
-                report.add_ok(f"{name}-verticals-surjective", cases=n)
+            report.record(f"{name}-verticals-surjective", missing, cases=n)
         run_bounded(report, f"{name}-verticals-surjective", surjective, budget)
 
         # squares: the transpose must induce a bijection on squares between
@@ -978,13 +773,10 @@ def check_pre_awfs(S: LiftingStructure, budget: Budget | None = None) -> Report:
                     sqbad.append({"v": source.label(v), "w": source.label(w),
                                   "only-in-source": sorted(sv - tv),
                                   "only-in-target": sorted(tv - sv)})
-        if sqbad:
-            report.add_violation(f"{name}-squares", sqbad, cases=n)
-        else:
-            report.add_ok(f"{name}-squares", cases=n)
+        report.record(f"{name}-squares", sqbad, cases=n)
 
-    side("phi_r", R, tr, rlp)
-    side("phi_l", L, tl, llp)
+    side("phi_r", transpose_r(S, budget))
+    side("phi_l", transpose_l(S, budget))
     report.budget_used = budget.used
     return report
 
@@ -1001,6 +793,12 @@ class FactorisationAssignment:
 
     def __contains__(self, f):
         return f in self.assignment
+
+    def dual(self) -> FactorisationAssignment:
+        """The assignment of the dual structure: f = h∘g in C is g∘h in
+        C^op, with h on the left."""
+        return FactorisationAssignment(
+            {f: (h, mid, g) for f, (g, mid, h) in self.assignment.items()})
 
 
 def check_factorisation_assignment(S: LiftingStructure,
@@ -1030,11 +828,43 @@ def check_factorisation_assignment(S: LiftingStructure,
         elif C.comp[(rh, lg)] != f:
             bad.append({"kind": "composite", "f": f,
                         "got": C.comp[(rh, lg)]})
-    if bad:
-        report.add_violation("assignment", bad, cases=len(C.morphisms))
-    else:
-        report.add_ok("assignment", cases=len(C.morphisms))
+    report.record("assignment", bad, cases=len(C.morphisms))
     return report
+
+
+def _couniversal_left(S: LiftingStructure, FA: FactorisationAssignment,
+                      budget):
+    """The left side of :func:`check_factorisation_axiom`.  Returns
+    (witnesses, cases)."""
+    L, R = S.left, S.right
+    C = L.base
+    comp = C.comp
+    bad, n = [], 0
+    lverts = sorted(L.verticals(), key=L.label)
+    for f in C.morphisms:
+        g, mid, h = FA[f]
+        rho = R.underlying(h)
+        ug = L.underlying(g)
+        for x in lverts:
+            ux = L.underlying(x)
+            for a, b in C.squares(ux, f):
+                n += 1
+                if budget:
+                    budget.spend()
+                found = []
+                for b2 in C.hom(C.cod[ux], mid):
+                    if comp[(rho, b2)] != b:
+                        continue
+                    if comp[(b2, ux)] != comp[(ug, a)]:
+                        continue
+                    if L.is_square(x, g, a, b2):
+                        found.append(b2)
+                        if len(found) > 1:
+                            break
+                if len(found) != 1:
+                    bad.append({"f": f, "x": L.label(x), "square": [a, b],
+                                "factorisations": found})
+    return bad, n
 
 
 def check_factorisation_axiom(S: LiftingStructure, FA: FactorisationAssignment,
@@ -1044,81 +874,25 @@ def check_factorisation_axiom(S: LiftingStructure, FA: FactorisationAssignment,
 
     Left side (couniversality of (1, rho_f)): every square (a, b) from a
     left vertical x into f factors as rho_f ∘ b' through a unique
-    L-square (a, b'): x -> g_f.  Right side is dual.  ``side`` selects
-    "both", "left-only" or "right-only"; either one-sided check is
-    sufficient for a structure already known to satisfy the lifting
-    axiom, and the CLI exposes all three.
+    L-square (a, b'): x -> g_f.  The right side (universality of
+    (lambda_f, 1)) is the left side of the dual structure on C^op.
+    ``side`` selects "both", "left-only" or "right-only"; either
+    one-sided check is sufficient for a structure already known to
+    satisfy the lifting axiom, and the CLI exposes all three.
     """
     if side not in ("both", "left-only", "right-only"):
         raise ValueError(f"unknown side {side!r}")
     report = check_factorisation_assignment(S, FA)
     if not report.ok:
         return report
-    L, R = S.left, S.right
-    C = L.base
-    comp = C.comp
 
     def left_side():
-        bad, n = [], 0
-        lverts = sorted(L.verticals(), key=L.label)
-        for f in C.morphisms:
-            g, mid, h = FA[f]
-            rho = R.underlying(h)
-            ug = L.underlying(g)
-            for x in lverts:
-                ux = L.underlying(x)
-                for a, b in C.squares(ux, f):
-                    n += 1
-                    if budget:
-                        budget.spend()
-                    found = []
-                    for b2 in C.hom(C.cod[ux], mid):
-                        if comp[(rho, b2)] != b:
-                            continue
-                        if comp[(b2, ux)] != comp[(ug, a)]:
-                            continue
-                        if L.is_square(x, g, a, b2):
-                            found.append(b2)
-                            if len(found) > 1:
-                                break
-                    if len(found) != 1:
-                        bad.append({"f": f, "x": L.label(x), "square": [a, b],
-                                    "factorisations": found})
-        if bad:
-            report.add_violation("couniversal-left", bad, cases=n)
-        else:
-            report.add_ok("couniversal-left", cases=n)
+        report.record("couniversal-left", *_couniversal_left(S, FA, budget))
 
     def right_side():
-        bad, n = [], 0
-        rverts = sorted(R.verticals(), key=R.label)
-        for f in C.morphisms:
-            g, mid, h = FA[f]
-            lam = L.underlying(g)
-            vh = R.underlying(h)
-            for y in rverts:
-                uy = R.underlying(y)
-                for a, b in C.squares(f, uy):
-                    n += 1
-                    if budget:
-                        budget.spend()
-                    found = []
-                    for a2 in C.hom(mid, C.dom[uy]):
-                        if comp[(a2, lam)] != a:
-                            continue
-                        if comp[(uy, a2)] != comp[(b, vh)]:
-                            continue
-                        if R.is_square(h, y, a2, b):
-                            found.append(a2)
-                            if len(found) > 1:
-                                break
-                    if len(found) != 1:
-                        bad.append({"f": f, "y": R.label(y), "square": [a, b],
-                                    "factorisations": found})
-        if bad:
-            report.add_violation("universal-right", bad, cases=n)
-        else:
-            report.add_ok("universal-right", cases=n)
+        bad, n = _couniversal_left(S.dual(), FA.dual(), budget)
+        report.record("universal-right", _dual_witnesses("universal-right", bad),
+                      cases=n)
 
     if side in ("both", "left-only"):
         run_bounded(report, "couniversal-left", left_side, budget)
@@ -1150,18 +924,6 @@ def check_lifting_awfs(S: LiftingStructure, FA: FactorisationAssignment,
 # canonical structures
 
 
-def canonical_right(R: ConcreteDouble, budget: Budget | None = None
-                    ) -> LiftingStructure:
-    """(LLP(R), can, R): the filler is read off the stored theta of the
-    LLP vertical."""
-    llp = LlpDouble(R, budget)
-
-    def rule(j, k, top, bottom):
-        return j.theta[(R.label(k), top, bottom)]
-
-    return LiftingStructure(llp, RuleLifting(llp, R, rule, name="can_r"), R)
-
-
 def canonical_left(L: ConcreteDouble, budget: Budget | None = None
                    ) -> LiftingStructure:
     """(L, can, RLP(L)): the filler is read off the stored theta of the
@@ -1169,7 +931,7 @@ def canonical_left(L: ConcreteDouble, budget: Budget | None = None
     rlp = RlpDouble(L, budget)
 
     def rule(j, k, top, bottom):
-        return k.theta[(L.label(j), top, bottom)]
+        return k.lift(L.label(j), top, bottom)
 
     return LiftingStructure(L, RuleLifting(L, rlp, rule, name="can_l"), rlp)
 

@@ -114,6 +114,12 @@ class Report:
             raise ValueError("violation requires witnesses")
         return self.add(name, VIOLATION, witnesses, cases)
 
+    def record(self, name, bad, cases=0):
+        """A violation witnessed by ``bad`` if it is non-empty, else ok."""
+        if bad:
+            return self.add(name, VIOLATION, bad, cases)
+        return self.add_ok(name, cases)
+
     def add_inconclusive(self, name, cases=0, note=""):
         w = [{"note": note}] if note else []
         return self.add(name, INCONCLUSIVE, w, cases)

@@ -1,0 +1,71 @@
+"""Inputs that used to escape the CLI as a traceback with exit 1 are
+reported as witnessed violations: JSON on stdout, exit 1."""
+
+import json
+import os
+
+from fwfs.cli import main
+from fwfs.io import load_bundle
+
+DATA = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
+                                    "demos", "data"))
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def epi_mono_bundle(tmp_path, **changes):
+    """epi_mono_finset2.json with absolute paths and ``changes`` applied."""
+    with open(os.path.join(DATA, "epi_mono_finset2.json")) as fh:
+        doc = json.load(fh)
+    doc["category"] = os.path.join(DATA, doc["category"])
+    doc.update(changes)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_missing_table_entry_is_a_violation(capsys, tmp_path):
+    _, S, _ = load_bundle(os.path.join(DATA, "epi_mono_finset2.json"))
+    rows = [[*key, d] for key, d in sorted(S.op.table().items())]
+    assert len(rows) == 44
+    missing = rows.pop(7)
+    path = epi_mono_bundle(tmp_path, operation={"kind": "table",
+                                                "entries": rows})
+    j, k, top, bottom, _ = missing
+    code, doc = run_cli(capsys, "check", "lifting-op", path)
+    assert code == 1 and doc["status"] == "violation"
+    [check] = doc["checks"]
+    assert check["name"] == "filler-validity"
+    assert check["witnesses"] == [{"j": j, "k": k, "square": [top, bottom],
+                                   "diagonal": None}]
+    code, doc = run_cli(capsys, "roundtrip", path)
+    assert code == 1 and doc["status"] == "violation"
+    fillers = [c for c in doc["checks"] if c["name"] == "fillers"]
+    assert [c["status"] for c in doc["checks"]] == \
+        ["ok"] * 4 + ["violation"]
+    assert [(w["j"], w["k"], w["square"], w["original"])
+            for w in fillers[0]["witnesses"]] == [(j, k, [top, bottom], None)]
+
+
+def test_factorisation_not_composing_to_f_is_a_violation(capsys, tmp_path):
+    with open(os.path.join(DATA, "epi_mono_finset2.json")) as fh:
+        rows = json.load(fh)["factorisation"]
+    for row in rows:
+        if row["f"] == "2>2:01":
+            row.update(left="2>1:00", mid="1", right="1>2:0")
+    path = epi_mono_bundle(tmp_path, factorisation=rows)
+    for command in ("reconstruct", "roundtrip"):
+        code, doc = run_cli(capsys, command, path)
+        assert code == 1 and doc["status"] == "violation", command
+        [check] = doc["checks"]
+        assert check["name"] == "ReconstructionError"
+        assert check["witnesses"] == [{"witness": repr(
+            ("E on squares", ("1>1:0", "2>2:01", "1>2:1", "1>2:1")))}]
+    # the lifting-awfs check names the broken leg
+    code, doc = run_cli(capsys, "check", "lifting-awfs", path)
+    assert code == 1
+    assert doc["checks"][-1]["witnesses"] == [
+        {"kind": "composite", "f": "2>2:01", "got": "2>2:00"}]
