@@ -33,6 +33,7 @@ COMMANDS = {
                                      "--side", "left-only"],
     "check-lifting-awfs-right-only": ["check", "lifting-awfs", FILE,
                                       "--side", "right-only"],
+    "check-awfs": ["check", "awfs", FILE],
     "roundtrip": ["roundtrip", FILE],
     "reconstruct": ["reconstruct", FILE],
     "sem": ["sem", FILE],
