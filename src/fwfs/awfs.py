@@ -7,14 +7,21 @@ Every law is a morphism equality in the base category, checked by table
 lookup over all morphisms and all commuting squares.  Functoriality of
 E is checked on the pairs of squares of :func:`generating_square_pairs`,
 which imply all the others.
+
+An awfs (E, λ, ρ, Δ, μ) on C is the awfs (E^op, ρ, λ, μ, Δ) on C^op
+(:meth:`Awfs.dual`), whose coalgebras are the algebras of the original
+and whose comonad laws are its monad laws (Grandis–Tholen 2006,
+Bourke–Garner 2016).  So the algebra side, the monad laws, naturality
+of μ and the search for μ are the coalgebra and comonad code run on the
+dual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .dblcat import ClosureError, ConcreteDouble
-from .fincat import FinCategory
+from .dblcat import ClosureError, ConcreteDouble, OppositeDouble
+from .fincat import FinCategory, OppositeCategory
 from .lifting import (FactorisationAssignment, LiftingStructure,
                       RuleLifting)
 from .report import Budget, Report, run_bounded
@@ -31,6 +38,27 @@ class FunctorialFactorisation:
     rho: dict     # f -> ρf
     sq_map: dict  # (f, g, top, bottom) -> E(top,bottom): Ef -> Eg
 
+    def dual(self) -> FunctorialFactorisation:
+        """The same factorisation on C^op, where f = λf∘ρf: λ and ρ swap,
+        and E is read through a transposing view, never copied."""
+        return FunctorialFactorisation(self.C.op(), self.mid, self.rho,
+                                       self.lam, TransposedSquares(self.sq_map))
+
+
+class TransposedSquares:
+    """E on the squares of C^op as a view of E on those of C: the entry
+    for (f, g, top, bottom) is E's for (g, f, bottom, top).  A missing
+    entry raises the KeyError of C's key."""
+
+    __slots__ = ("original",)
+
+    def __init__(self, E):
+        self.original = E
+
+    def __getitem__(self, key):
+        f, g, top, bottom = key
+        return self.original[(g, f, bottom, top)]
+
 
 @dataclass
 class Awfs:
@@ -40,10 +68,20 @@ class Awfs:
     ff: FunctorialFactorisation
     delta: dict  # f -> Δf
     mu: dict     # f -> μf
+    _dual: Awfs | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @property
     def C(self):
         return self.ff.C
+
+    def dual(self) -> Awfs:
+        """(E^op, ρ, λ, μ, Δ) on C^op, whose coalgebras are the algebras
+        of this awfs.  It reads this awfs's tables and is built once, so
+        C^op lives as long as the awfs once it is asked for."""
+        if self._dual is None:
+            self._dual = Awfs(self.ff.dual(), self.mu, self.delta)
+        return self._dual
 
 
 def check_functorial_factorisation(ff: FunctorialFactorisation) -> Report:
@@ -168,77 +206,92 @@ def generating_square_pairs(C: FinCategory):
                 yield f, g, h, s1, s2
 
 
+class _NonSquare(Exception):
+    """A law asked for E on a boundary pair that is not a commuting
+    square; this happens when Δ or μ is wrong, and is a violation."""
+
+
+def _e(ff: FunctorialFactorisation, *key):
+    """E of a square, or :class:`_NonSquare` with the pair as C writes
+    it (a dual's view raises the KeyError of C's key)."""
+    try:
+        return ff.sq_map[key]
+    except KeyError as ex:
+        raise _NonSquare(ex.args[0]) from None
+
+
+def _comonad_laws(A: Awfs, f):
+    """Witnesses against the comonad laws at f: (1, Δf) is a square
+    λf → λλf, the two counit laws and coassociativity."""
+    C, ff = A.C, A.ff
+    comp = C.comp
+    lam, d = ff.lam[f], A.delta[f]
+    one, one_dom = C.identities[ff.mid[f]], C.identities[C.dom[f]]
+    bad = []
+    try:
+        if comp[(d, lam)] != ff.lam[lam]:
+            bad.append({"law": "comult-square", "f": f})
+        if comp[(ff.rho[lam], d)] != one:
+            bad.append({"law": "counit-left", "f": f})
+        if comp[(_e(ff, lam, f, one_dom, ff.rho[f]), d)] != one:
+            bad.append({"law": "counit-right", "f": f})
+        lhs = comp[(A.delta[lam], d)]
+        rhs = comp[(_e(ff, lam, ff.lam[lam], one_dom, d), d)]
+        if lhs != rhs:
+            bad.append({"law": "coassociativity", "f": f,
+                        "lhs": lhs, "rhs": rhs})
+    except _NonSquare as ex:
+        bad.append({"law": "non-square", "f": f, "key": list(ex.args[0])})
+    return bad
+
+
+# the comonad laws of the dual awfs are the monad laws, under these names
+_MONAD_LAWS = {"comult-square": "mult-square", "counit-left": "unit-left",
+               "counit-right": "unit-right",
+               "coassociativity": "associativity", "non-square": "non-square"}
+
+
+def _delta_natural(A: Awfs, f, g, top, bottom) -> bool:
+    """Δ natural at the square (top, bottom): f → g:
+    E(top, E(top,bottom))∘Δf = Δg∘E(top,bottom)."""
+    ff = A.ff
+    E, lam, comp = ff.sq_map, ff.lam, ff.C.comp
+    try:  # :func:`_e` inlined, as this runs twice per square
+        e = E[(f, g, top, bottom)]
+        x = E[(lam[f], lam[g], top, e)]
+    except KeyError as ex:
+        raise _NonSquare(ex.args[0]) from None
+    return comp[(x, A.delta[f])] == comp[(A.delta[g], e)]
+
+
 def check_awfs(A: Awfs) -> Report:
+    """The awfs laws.  The monad laws and naturality of μ are checked as
+    the comonad laws and naturality of Δ of :meth:`Awfs.dual`."""
     report = check_functorial_factorisation(A.ff)
     if not report.ok:
         return report
     C = A.C
     comp = C.comp
     ff = A.ff
-    ident = C.identities
-
-    class NonSquare(Exception):
-        """A law asked for E on a boundary pair that is not a commuting
-        square; this happens when Δ or μ is wrong, and is a violation."""
-
-        def __init__(self, key):
-            super().__init__(key)
-            self.key = key
-
-    def e_of(f, g, top, bottom):
-        try:
-            return ff.sq_map[(f, g, top, bottom)]
-        except KeyError:
-            raise NonSquare((f, g, top, bottom)) from None
+    dual = A.dual()
 
     bad = []
     for f in C.morphisms:
-        d = A.delta.get(f)
-        m = A.mu.get(f)
-        lam, rho = ff.lam[f], ff.rho[f]
-        if d is None or C.dom.get(d) != ff.mid[f] or C.cod.get(d) != ff.mid[lam]:
-            bad.append({"kind": "delta-boundary", "f": f})
-        if m is None or C.dom.get(m) != ff.mid[rho] or C.cod.get(m) != ff.mid[f]:
-            bad.append({"kind": "mu-boundary", "f": f})
+        # Δf: Ef → Eλf, and μf: Eρf → Ef is that map of the dual
+        for kind, B in (("delta-boundary", A), ("mu-boundary", dual)):
+            d, Bc = B.delta.get(f), B.C
+            if (d is None or Bc.dom.get(d) != ff.mid[f]
+                    or Bc.cod.get(d) != ff.mid[B.ff.lam[f]]):
+                bad.append({"kind": kind, "f": f})
     report.record("boundaries", bad, cases=2 * len(C.morphisms))
     if bad:
         return report
 
     co, mo = [], []
     for f in C.morphisms:
-        lam, rho = ff.lam[f], ff.rho[f]
-        d, m = A.delta[f], A.mu[f]
-        one = ident[ff.mid[f]]
-        # (1, Δf) must be a square λf → λλf; counit and coassociativity
-        try:
-            if comp[(d, lam)] != ff.lam[lam]:
-                co.append({"law": "comult-square", "f": f})
-            if comp[(ff.rho[lam], d)] != one:
-                co.append({"law": "counit-left", "f": f})
-            if comp[(e_of(lam, f, ident[C.dom[f]], rho), d)] != one:
-                co.append({"law": "counit-right", "f": f})
-            lhs = comp[(A.delta[lam], d)]
-            rhs = comp[(e_of(lam, ff.lam[lam], ident[C.dom[f]], d), d)]
-            if lhs != rhs:
-                co.append({"law": "coassociativity", "f": f,
-                           "lhs": lhs, "rhs": rhs})
-        except NonSquare as ex:
-            co.append({"law": "non-square", "f": f, "key": list(ex.key)})
-        # (μf, 1) must be a square ρρf → ρf; units and associativity
-        try:
-            if comp[(rho, m)] != ff.rho[rho]:
-                mo.append({"law": "mult-square", "f": f})
-            if comp[(m, ff.lam[rho])] != one:
-                mo.append({"law": "unit-left", "f": f})
-            if comp[(m, e_of(f, rho, lam, ident[C.cod[f]]))] != one:
-                mo.append({"law": "unit-right", "f": f})
-            lhs = comp[(m, A.mu[rho])]
-            rhs = comp[(m, e_of(ff.rho[rho], rho, m, ident[C.cod[f]]))]
-            if lhs != rhs:
-                mo.append({"law": "associativity", "f": f,
-                           "lhs": lhs, "rhs": rhs})
-        except NonSquare as ex:
-            mo.append({"law": "non-square", "f": f, "key": list(ex.key)})
+        co += _comonad_laws(A, f)
+        mo += [{**w, "law": _MONAD_LAWS[w["law"]]}
+               for w in _comonad_laws(dual, f)]
     report.record("comonad", co, cases=4 * len(C.morphisms))
     report.record("monad", mo, cases=4 * len(C.morphisms))
 
@@ -248,23 +301,17 @@ def check_awfs(A: Awfs) -> Report:
             for top, bottom in C.squares(f, g):
                 n += 2
                 try:
-                    e = e_of(f, g, top, bottom)
-                    # Δ natural: E(top, E(top,bottom))∘Δf = Δg∘E(top,bottom)
-                    lhs = comp[(e_of(ff.lam[f], ff.lam[g], top, e),
-                                A.delta[f])]
-                    if lhs != comp[(A.delta[g], e)]:
+                    if not _delta_natural(A, f, g, top, bottom):
                         nat.append({"law": "delta", "f": f, "g": g,
                                     "square": [top, bottom]})
-                    # μ natural: E(top,bottom)∘μf = μg∘E(E(top,bottom), bottom)
-                    lhs = comp[(e, A.mu[f])]
-                    rhs = comp[(A.mu[g],
-                                e_of(ff.rho[f], ff.rho[g], e, bottom))]
-                    if lhs != rhs:
+                    # μ natural: Δ of the dual natural at the same square,
+                    # which is (bottom, top): g → f in C^op
+                    if not _delta_natural(dual, g, f, bottom, top):
                         nat.append({"law": "mu", "f": f, "g": g,
                                     "square": [top, bottom]})
-                except NonSquare as ex:
+                except _NonSquare as ex:
                     nat.append({"law": "non-square", "f": f, "g": g,
-                                "key": list(ex.key)})
+                                "key": list(ex.args[0])})
     report.record("naturality-delta-mu", nat, cases=n)
 
     # distributive law: the middle square (Δf, μf): λρf → ρλf commutes,
@@ -279,13 +326,13 @@ def check_awfs(A: Awfs) -> Report:
         # Δf∘μf = μ_{λf} ∘ E(Δf, μf) ∘ Δ_{ρf}
         try:
             lhs = comp[(d, m)]
-            rhs = comp[(A.mu[lam], comp[(e_of(ff.lam[rho], ff.rho[lam], d, m),
-                                         A.delta[rho])])]
+            e = _e(ff, ff.lam[rho], ff.rho[lam], d, m)
+            rhs = comp[(A.mu[lam], comp[(e, A.delta[rho])])]
             if lhs != rhs:
                 dist.append({"law": "delta-mu-interchange", "f": f,
                              "lhs": lhs, "rhs": rhs})
-        except NonSquare as ex:
-            dist.append({"law": "non-square", "f": f, "key": list(ex.key)})
+        except _NonSquare as ex:
+            dist.append({"law": "non-square", "f": f, "key": list(ex.args[0])})
     report.record("distributive-law", dist, cases=2 * len(C.morphisms))
     return report
 
@@ -299,39 +346,37 @@ class Coalgebra:
     coassociativity equation."""
 
     __slots__ = ("f", "s")
+    what = "a coalgebra"
 
     def __init__(self, f, s):
         self.f = f
         self.s = s
 
     def __eq__(self, other):
-        return isinstance(other, Coalgebra) and (self.f, self.s) == (other.f, other.s)
+        return type(other) is type(self) and (self.f, self.s) == (other.f, other.s)
 
     def __hash__(self):
-        return hash(("coalg", self.f, self.s))
+        return hash((self.f, self.s))
 
     def __repr__(self):
-        return f"<Coalgebra {self.f}; {self.s}>"
+        return f"<{type(self).__name__} {self.f}; {self.s}>"
 
 
-class Algebra:
+class Algebra(Coalgebra):
     """(g, p): p: Eg → dom g with g∘p = ρg, p∘λg = 1 and the
-    associativity equation."""
+    associativity equation.
 
-    __slots__ = ("g", "p")
+    It is the coalgebra of the dual awfs over g, whose structure map
+    cod g → Eg in C^op is p, read under the names g and p."""
 
-    def __init__(self, g, p):
-        self.g = g
-        self.p = p
+    __slots__ = ()
+    what = "an algebra"
+    g, p = Coalgebra.f, Coalgebra.s
 
-    def __eq__(self, other):
-        return isinstance(other, Algebra) and (self.g, self.p) == (other.g, other.p)
 
-    def __hash__(self):
-        return hash(("alg", self.g, self.p))
-
-    def __repr__(self):
-        return f"<Algebra {self.g}; {self.p}>"
+def _coalgebra_class(C: FinCategory):
+    """The coalgebras of an awfs on C^op are the algebras of its dual."""
+    return Algebra if isinstance(C, OppositeCategory) else Coalgebra
 
 
 def is_coalgebra(A: Awfs, f, s) -> bool:
@@ -348,28 +393,18 @@ def is_coalgebra(A: Awfs, f, s) -> bool:
 
 
 def is_algebra(A: Awfs, g, p) -> bool:
-    C, ff = A.C, A.ff
-    comp = C.comp
-    if C.dom.get(p) != ff.mid[g] or C.cod.get(p) != C.dom[g]:
-        return False
-    if comp[(g, p)] != ff.rho[g]:
-        return False
-    if comp[(p, ff.lam[g])] != C.identities[C.dom[g]]:
-        return False
-    esq = ff.sq_map[(ff.rho[g], g, p, C.identities[C.cod[g]])]
-    return comp[(p, esq)] == comp[(p, A.mu[g])]
+    return is_coalgebra(A.dual(), g, p)
 
 
 def enumerate_coalgebras(A: Awfs, f):
     C, ff = A.C, A.ff
-    return [Coalgebra(f, s) for s in C.hom(C.cod[f], ff.mid[f])
+    V = _coalgebra_class(C)
+    return [V(f, s) for s in C.hom(C.cod[f], ff.mid[f])
             if is_coalgebra(A, f, s)]
 
 
 def enumerate_algebras(A: Awfs, g):
-    C, ff = A.C, A.ff
-    return [Algebra(g, p) for p in C.hom(ff.mid[g], C.dom[g])
-            if is_algebra(A, g, p)]
+    return enumerate_coalgebras(A.dual(), g)
 
 
 class CoalgDouble(ConcreteDouble):
@@ -379,18 +414,17 @@ class CoalgDouble(ConcreteDouble):
     def __init__(self, A: Awfs, name=""):
         super().__init__(A.C, name or "Coalg")
         self.A = A
+        self.vertical = _coalgebra_class(A.C)
         self._verts = None
 
     def verticals(self):
         if self._verts is None:
-            out = []
-            for f in self.base.morphisms:
-                out.extend(enumerate_coalgebras(self.A, f))
-            self._verts = tuple(out)
+            self._verts = tuple(v for f in self.base.morphisms
+                                for v in enumerate_coalgebras(self.A, f))
         return list(self._verts)
 
     def has_vertical(self, v):
-        return isinstance(v, Coalgebra) and is_coalgebra(self.A, v.f, v.s)
+        return type(v) is self.vertical and is_coalgebra(self.A, v.f, v.s)
 
     def underlying(self, v):
         return v.f
@@ -400,7 +434,7 @@ class CoalgDouble(ConcreteDouble):
 
     def identity_vertical(self, obj):
         f = self.base.identities[obj]
-        return Coalgebra(f, self.A.ff.lam[f])
+        return self.vertical(f, self.A.ff.lam[f])
 
     def compose(self, w, v):
         # w = (g, t) after v = (f, s): structure map
@@ -411,9 +445,9 @@ class CoalgDouble(ConcreteDouble):
         x = comp[(A.ff.sq_map[(v.f, gf, C.identities[C.dom[v.f]], w.f)], v.s)]
         e = A.ff.sq_map[(w.f, A.ff.rho[gf], x, C.identities[C.cod[w.f]])]
         s = comp[(A.mu[gf], comp[(e, w.s)])]
-        out = Coalgebra(gf, s)
+        out = self.vertical(gf, s)
         if not self.has_vertical(out):
-            raise ClosureError("composite is not a coalgebra",
+            raise ClosureError(f"composite is not {out.what}",
                                (self.label(w), self.label(v)))
         return out
 
@@ -425,56 +459,13 @@ class CoalgDouble(ConcreteDouble):
         return C.comp[(e, v.s)] == C.comp[(w.s, bottom)]
 
 
-class AlgDouble(ConcreteDouble):
-    """Concrete double category of algebras."""
+class AlgDouble(OppositeDouble):
+    """Concrete double category of algebras: the coalgebras of the dual
+    awfs, seen from C."""
 
     def __init__(self, A: Awfs, name=""):
-        super().__init__(A.C, name or "Alg")
+        super().__init__(CoalgDouble(A.dual()), name or "Alg")
         self.A = A
-        self._verts = None
-
-    def verticals(self):
-        if self._verts is None:
-            out = []
-            for g in self.base.morphisms:
-                out.extend(enumerate_algebras(self.A, g))
-            self._verts = tuple(out)
-        return list(self._verts)
-
-    def has_vertical(self, v):
-        return isinstance(v, Algebra) and is_algebra(self.A, v.g, v.p)
-
-    def underlying(self, v):
-        return v.g
-
-    def label(self, v):
-        return f"{v.g};{v.p}"
-
-    def identity_vertical(self, obj):
-        g = self.base.identities[obj]
-        return Algebra(g, self.A.ff.rho[g])
-
-    def compose(self, w, v):
-        # w = (h, q) after v = (g, p): structure map
-        # p ∘ E(1, q∘E(g,1)) ∘ Δ_{hg}
-        A, C = self.A, self.base
-        comp = C.comp
-        hg = comp[(w.g, v.g)]
-        y = comp[(w.p, A.ff.sq_map[(hg, w.g, v.g, C.identities[C.cod[w.g]])])]
-        e = A.ff.sq_map[(A.ff.lam[hg], v.g, C.identities[C.dom[v.g]], y)]
-        p = comp[(v.p, comp[(e, A.delta[hg])])]
-        out = Algebra(hg, p)
-        if not self.has_vertical(out):
-            raise ClosureError("composite is not an algebra",
-                               (self.label(w), self.label(v)))
-        return out
-
-    def is_square(self, v, w, top, bottom):
-        C = self.base
-        if (top, bottom) not in C.squares(v.g, w.g):
-            return False
-        e = self.A.ff.sq_map[(v.g, w.g, top, bottom)]
-        return C.comp[(top, v.p)] == C.comp[(w.p, e)]
 
 
 def coalg_double_category(A: Awfs) -> CoalgDouble:
@@ -523,6 +514,22 @@ class ReconstructionError(ValueError):
         self.witness = (what, key)
 
 
+def _comultiplications(S: LiftingStructure, FA: FactorisationAssignment,
+                       ff: FunctorialFactorisation, f):
+    """The candidates for Δf: the b: Ef → Eλf with b∘λf = λλf,
+    ρλf∘b = 1 and (1, b) an L-square from the left leg of f to that of
+    λf."""
+    L = S.left
+    C = L.base
+    comp = C.comp
+    lf = ff.lam[f]
+    one_mid = C.identities[ff.mid[f]]
+    return [b for b in C.hom(ff.mid[f], ff.mid[lf])
+            if comp[(b, lf)] == ff.lam[lf]
+            and comp[(ff.rho[lf], b)] == one_mid
+            and L.is_square(FA[f][0], FA[lf][0], C.identities[C.dom[f]], b)]
+
+
 def awfs_from_lifting(S: LiftingStructure, FA: FactorisationAssignment) -> Awfs:
     """Rebuild (E, λ, ρ, Δ, μ) from the universal properties of the
     factorisations.  Each component is found by exhaustive search and
@@ -559,23 +566,12 @@ def awfs_from_lifting(S: LiftingStructure, FA: FactorisationAssignment) -> Awfs:
                     cands, "E on squares", (f, g, top, bottom))
     ff = FunctorialFactorisation(C, mid, lam, rho, sq_map)
 
+    # μ is Δ of the dual structure, searched for f by f in the same order
+    dual = (S.dual(), FA.dual(), ff.dual())
     delta, mu = {}, {}
     for f in C.morphisms:
-        gf, m, hf = FA[f]
-        lf, rf = lam[f], rho[f]
-        glf, _, _ = FA[lf]
-        _, _, hrf = FA[rf]
-        one_mid = C.identities[m]
-        cands = [b for b in C.hom(m, mid[lf])
-                 if comp[(b, lf)] == lam[lf]
-                 and comp[(rho[lf], b)] == one_mid
-                 and L.is_square(gf, glf, C.identities[C.dom[f]], b)]
-        delta[f] = unique(cands, "delta", f)
-        cands = [a for a in C.hom(mid[rf], m)
-                 if comp[(a, lam[rf])] == one_mid
-                 and comp[(rf, a)] == rho[rf]
-                 and R.is_square(hrf, hf, a, C.identities[C.cod[f]])]
-        mu[f] = unique(cands, "mu", f)
+        delta[f] = unique(_comultiplications(S, FA, ff, f), "delta", f)
+        mu[f] = unique(_comultiplications(*dual, f), "mu", f)
     return Awfs(ff, delta, mu)
 
 

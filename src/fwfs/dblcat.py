@@ -95,10 +95,7 @@ class ConcreteDouble:
         """The opposite view over C^op, built once for as long as
         anything holds it."""
         op = self._op() if self._op else None
-        if op is None:
-            op = OppositeDouble(self)
-            self._op = weakref.ref(op)
-        return op
+        return op if op is not None else OppositeDouble(self)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name or ''} over {self.base!r}>"
@@ -109,12 +106,14 @@ class OppositeDouble(ConcreteDouble):
     underlying morphisms, vertical composition reversed, and the square
     (top, bottom): v -> w of D^op is the square (bottom, top): w -> v of
     D.  Squares and vertical pairs come in D's order.  The opposite of
-    the view is D."""
+    the view is D, and the view is D's opposite for as long as it lives,
+    so that a view built by a subclass is found again from D."""
 
     def __init__(self, D: ConcreteDouble, name=""):
         super().__init__(D.base.op(), name or f"{D.name}^op")
         self.explicit = D.explicit
         self.original = D
+        D._op = weakref.ref(self)
         # the verticals are D's: read them from D itself
         self.verticals = D.verticals
         self.verticals_over = D.verticals_over

@@ -400,14 +400,45 @@ def _vertical_class(C: FinCategory):
     return LlpVertical if isinstance(C, OppositeCategory) else RlpVertical
 
 
+class _OneVertical(ConcreteDouble):
+    """The double category with the single vertical v of RLP(L) or
+    LLP(R)."""
+
+    def __init__(self, base, v):
+        super().__init__(base)
+        self.v = v
+
+    def verticals(self):
+        return [self.v]
+
+    def underlying(self, v):
+        return v.f
+
+    def label(self, v):
+        return v._label
+
+
+class _StoredFillers(LiftingOperation):
+    """The fillers stored in v, as an operation over (L, {v}).  A pair
+    v stores no filler for, such as a translated pair that is not a
+    square over a non-associative base, has none, as in
+    :class:`TableLifting`."""
+
+    def __init__(self, L: ConcreteDouble, v: RlpVertical):
+        super().__init__(L, _OneVertical(L.base, v))
+
+    def fill(self, j, k, top, bottom):
+        return k.theta.get(k.key(self.left.label(j), top, bottom))
+
+
 def rlp_verify(L: ConcreteDouble, v: RlpVertical,
                budget: Budget | None = None) -> Report:
     """Objecthood in RLP(L): total valid fillers, natural in L-squares,
     compatible with vertical composition in L.
 
-    As in :func:`check_lifting_operation`, both sides of a compatibility
-    case are valid diagonals of one square, so blocks over a pair with
-    unique fillers are counted without being evaluated."""
+    The two compatibility laws are the left-hand families of
+    :func:`check_lifting_operation` for v's stored fillers, as an
+    operation with v as its only right vertical."""
     C = L.base
     comp = C.comp
     report = Report()
@@ -435,47 +466,13 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
     report.record("filler-validity", bad, cases=n)
     if bad:
         return report
-    forced = C.unique_fillers if C.is_category else lambda x, y: False
-
-    bad, n = [], 0
-    for i, j in L.pairs(lverts):
-        # both sides fill (s∘r0, t∘r1): Ui -> f
-        skip = forced(L.underlying(i), f)
-        squares = C.squares(L.underlying(j), f)
-        for r0, r1 in L.squares(i, j):
-            if skip:
-                n += len(squares)
-                continue
-            for s, t in squares:
-                n += 1
-                if budget:
-                    budget.spend()
-                lhs = comp[(v.lift(L.label(j), s, t), r1)]
-                rhs = v.lift(L.label(i), comp[(s, r0)], comp[(t, r1)])
-                if lhs != rhs:
-                    bad.append({"i": L.label(i), "j": L.label(j),
-                                "left-square": [r0, r1], "square": [s, t]})
-    report.record("horizontal-compatibility", bad, cases=n)
-
-    bad, n = [], 0
-    lset = set(lverts)
-    for i, j in L.composable_pairs(lverts):
-        ji = L.compose(j, i)
-        uji, uj = L.underlying(ji), L.underlying(j)
-        squares = C.squares(uji, f)
-        # both sides fill (s, t): U(j∘i) -> f when U(j∘i) = Uj∘Ui
-        if (ji in lset and comp[(uj, L.underlying(i))] == uji
-                and forced(uji, f)):
-            n += len(squares)
-            continue
-        for s, t in squares:
-            n += 1
-            if budget:
-                budget.spend()
-            mid = v.lift(L.label(i), s, comp[(t, uj)])
-            if v.lift(L.label(ji), s, t) != v.lift(L.label(j), mid, t):
-                bad.append({"i": L.label(i), "j": L.label(j), "square": [s, t]})
-    report.record("vertical-compatibility", bad, cases=n)
+    op = _StoredFillers(L, v)
+    for name, law in (("horizontal-compatibility", _horizontal_left),
+                      ("vertical-compatibility", _vertical_left)):
+        bad, n = law(op, True, budget)
+        report.record(name, [{k: x for k, x in w.items()
+                              if k not in ("lhs", "rhs")} for w in bad],
+                      cases=n)
     if budget:
         report.budget_used = budget.used
     return report
@@ -548,6 +545,7 @@ class RlpDouble(ConcreteDouble):
         self.vertical = _vertical_class(L.base)
         self._over = {}
         self._verified = {}
+        self._undecided = {}  # f -> the j with some Uj -> f filled twice
 
     def verified(self, v):
         """``rlp_verify(L, v).ok``, computed once per vertical."""
@@ -615,12 +613,16 @@ class RlpDouble(ConcreteDouble):
         # the square must commute with the fillers: top∘theta_v = theta_w
         # of the translated square; for verified v and w both sides fill
         # (top∘u, bottom∘t): Uj -> w.f, so they agree where it has one
-        decided = C.is_category and self.verified(v) and self.verified(w)
-        for j in L.verticals():
-            lj = L.underlying(j)
-            if decided and C.unique_fillers(lj, w.f):
-                continue
-            for u, t in C.squares(lj, v.f):
+        if C.is_category and self.verified(v) and self.verified(w):
+            js = self._undecided.get(w.f)
+            if js is None:
+                js = self._undecided[w.f] = [
+                    j for j in L.verticals()
+                    if not C.unique_fillers(L.underlying(j), w.f)]
+        else:
+            js = L.verticals()
+        for j in js:
+            for u, t in C.squares(L.underlying(j), v.f):
                 lhs = comp[(top, v.lift(L.label(j), u, t))]
                 rhs = w.lift(L.label(j), comp[(top, u)], comp[(bottom, t)])
                 if lhs != rhs:

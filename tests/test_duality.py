@@ -344,6 +344,19 @@ def test_dual_structure_is_the_same_structure(structure):
     assert check_factorisation_assignment(D, FA.dual()).ok
 
 
+def test_derived_opposite_is_the_original_opposite():
+    """A subclass of the opposite view, such as LLP(R) = RLP(R^op)^op,
+    is found again as the opposite of its original, so a structure with
+    it on one side dualises twice to the same sides."""
+    S, _ = epi_mono("finset2")
+    R = S.right
+    D = LlpDouble(R)
+    assert D.op().op() is D and D.original.op() is D
+    T = LiftingStructure(D, unique_filler_lifting(D, R), R)
+    twice = T.dual().dual()
+    assert twice.left is D and twice.right is R and twice.op is T.op
+
+
 def test_llp_label_is_read_in_the_original_orientation():
     S, _ = epi_mono("finset2")
     for v in LlpDouble(S.right).verticals():

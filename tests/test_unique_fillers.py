@@ -174,7 +174,8 @@ def oracle_lifting_operation(op, budget=None):
 
 
 def oracle_rlp_verify(L, v, budget=None):
-    """rlp_verify evaluating both sides of every case."""
+    """rlp_verify evaluating both sides of every case; a translated pair
+    that is not a square has no stored filler."""
     C = L.base
     comp = C.comp
     report = Report()
@@ -213,8 +214,8 @@ def oracle_rlp_verify(L, v, budget=None):
                     n += 1
                     if budget:
                         budget.spend()
-                    lhs = comp[(v.theta[(L.label(j), s, t)], r1)]
-                    rhs = v.theta[(L.label(i), comp[(s, r0)], comp[(t, r1)])]
+                    lhs = comp[(v.theta.get((L.label(j), s, t)), r1)]
+                    rhs = v.theta.get((L.label(i), comp[(s, r0)], comp[(t, r1)]))
                     if lhs != rhs:
                         bad.append({"i": L.label(i), "j": L.label(j),
                                     "left-square": [r0, r1], "square": [s, t]})
@@ -234,8 +235,8 @@ def oracle_rlp_verify(L, v, budget=None):
                 n += 1
                 if budget:
                     budget.spend()
-                mid = v.theta[(L.label(i), s, comp[(t, uj)])]
-                if v.theta[(L.label(ji), s, t)] != v.theta[(L.label(j), mid, t)]:
+                mid = v.theta.get((L.label(i), s, comp[(t, uj)]))
+                if v.theta.get((L.label(ji), s, t)) != v.theta.get((L.label(j), mid, t)):
                     bad.append({"i": L.label(i), "j": L.label(j), "square": [s, t]})
     if bad:
         report.add_violation("vertical-compatibility", bad, cases=n)
@@ -247,7 +248,8 @@ def oracle_rlp_verify(L, v, budget=None):
 
 
 def oracle_llp_verify(R, v, budget=None):
-    """llp_verify evaluating both sides of every case."""
+    """llp_verify evaluating both sides of every case; a translated pair
+    that is not a square has no stored filler."""
     C = R.base
     comp = C.comp
     report = Report()
@@ -286,8 +288,8 @@ def oracle_llp_verify(R, v, budget=None):
                     n += 1
                     if budget:
                         budget.spend()
-                    lhs = comp[(q0, v.theta[(R.label(k), u, t)])]
-                    rhs = v.theta[(R.label(k2), comp[(q0, u)], comp[(q1, t)])]
+                    lhs = comp[(q0, v.theta.get((R.label(k), u, t)))]
+                    rhs = v.theta.get((R.label(k2), comp[(q0, u)], comp[(q1, t)]))
                     if lhs != rhs:
                         bad.append({"k": R.label(k), "k'": R.label(k2),
                                     "right-square": [q0, q1], "square": [u, t]})
@@ -307,8 +309,8 @@ def oracle_llp_verify(R, v, budget=None):
                 n += 1
                 if budget:
                     budget.spend()
-                mid = v.theta[(R.label(l), comp[(uk, u)], t)]
-                if v.theta[(R.label(lk), u, t)] != v.theta[(R.label(k), u, mid)]:
+                mid = v.theta.get((R.label(l), comp[(uk, u)], t))
+                if v.theta.get((R.label(lk), u, t)) != v.theta.get((R.label(k), u, mid)):
                     bad.append({"k": R.label(k), "l": R.label(l), "square": [u, t]})
     if bad:
         report.add_violation("vertical-compatibility", bad, cases=n)
@@ -644,6 +646,36 @@ def test_nonassociative_base_rlp_and_llp_match_oracle():
             assert got == outcome(oracle, ids, v)
             reports += isinstance(got, dict)
     assert reports > 0
+
+
+def test_nonassociative_base_rlp_and_llp_verticals_get_reports():
+    """Every candidate vertical of RLP and LLP over the non-associative
+    base gets a report, equal to the oracle's, and enumeration raises
+    nothing: a translated pair that is not a square has no stored
+    filler, so the law that asks for one is violated."""
+    B = nonassociative_base()
+    compat = 0
+    for side in (ClassDouble(B, ["0"], name="ids"), sq(B)):
+        for D, verify, oracle, make, flip in (
+                (RlpDouble(side), rlp_verify, oracle_rlp_verify, RlpVertical,
+                 False),
+                (LlpDouble(side), llp_verify, oracle_llp_verify, LlpVertical,
+                 True)):
+            for f in B.morphisms:
+                keys, choices = [], []
+                for x in sorted(side.verticals(), key=side.label):
+                    a, b = (f, x) if flip else (x, f)
+                    for top, bottom in B.squares(a, b):
+                        keys.append((x, top, bottom))
+                        choices.append(enumerate_fillers(B, a, b, top, bottom))
+                for combo in itertools.product(*choices):
+                    v = make(f, dict(zip(keys, combo)))
+                    got = verify(side, v, Budget())
+                    assert got.to_dict() == oracle(side, v, Budget()).to_dict()
+                    compat += any(c.name.endswith("compatibility")
+                                  for c in got.violations())
+            D.verticals()
+    assert compat > 0
 
 
 def test_nonassociative_base_squares_consult_nothing():
