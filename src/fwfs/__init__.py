@@ -4,7 +4,7 @@ equivalent comonad/monad presentation, together with the constructive
 translations between the two."""
 
 from .report import (Budget, BudgetExceeded, Report, EXIT_OK, EXIT_VIOLATION,
-                     EXIT_INCONCLUSIVE, EXIT_USAGE)
+                     EXIT_INCONCLUSIVE, EXIT_USAGE, UNBOUNDED)
 from .fincat import (FinCategory, Functor, NatTransformation, Adjunction,
                      OppositeCategory, arrow_category, build_finset,
                      check_adjunction, check_category, check_functor,

@@ -24,7 +24,7 @@ from .dblcat import ClosureError, ConcreteDouble, OppositeDouble
 from .fincat import FinCategory, OppositeCategory
 from .lifting import (FactorisationAssignment, LiftingStructure,
                       RuleLifting)
-from .report import Budget, Report, run_bounded
+from .report import UNBOUNDED, Budget, Report, run_bounded
 
 
 @dataclass
@@ -601,12 +601,12 @@ def roundtrip_compare(S: LiftingStructure, A: Awfs) -> Report:
         extra = [f for f, vs in by_f.items() if len(vs) > 1]
         n_src = len(list(src.verticals()))
         n_dst = sum(len(v) for v in by_f.values())
-        if bad or extra or n_src != n_dst:
-            bad = bad or [{"kind": "count", "source": n_src, "target": n_dst,
-                           "ambiguous": extra}]
-            report.add_violation(f"{name}-verticals", bad, cases=n_src)
+        if not bad and (extra or n_src != n_dst):
+            bad = [{"kind": "count", "source": n_src, "target": n_dst,
+                    "ambiguous": extra}]
+        report.record(f"{name}-verticals", bad, cases=n_src)
+        if bad:
             return None
-        report.add_ok(f"{name}-verticals", cases=n_src)
         sqbad, n = [], 0
         verts = sorted(table, key=src.label)
         for v in verts:
@@ -698,14 +698,14 @@ def check_awfs_morphism(A: Awfs, A2: Awfs, K: dict) -> Report:
 
 
 def check_essential_image(U: ConcreteDouble,
-                          budget: Budget | None = None) -> Report:
+                          budget: Budget = UNBOUNDED) -> Report:
     """Necessary conditions for a concrete double category to arise from
     an awfs: faithful labelling, lawful identities/composition over the
     base, and right-connectedness (every vertical v over f admits the
     square (f, 1) into the identity vertical on cod f)."""
     report = Report()
     represented = not U.explicit
-    if represented and budget is None:
+    if represented and budget is UNBOUNDED:
         budget = Budget()
     C = U.base
 
@@ -714,8 +714,7 @@ def check_essential_image(U: ConcreteDouble,
         seen = {}
         bad = []
         for v in verts:
-            if budget:
-                budget.spend()
+            budget.spend()
             lbl = U.label(v)
             if lbl in seen and seen[lbl] != v:
                 bad.append({"kind": "label-collision", "label": lbl})
@@ -735,8 +734,7 @@ def check_essential_image(U: ConcreteDouble,
 
         rc = []
         for v in verts:
-            if budget:
-                budget.spend()
+            budget.spend()
             f = U.underlying(v)
             cod = C.cod[f]
             ivert = U.identity_vertical(cod)
@@ -746,9 +744,6 @@ def check_essential_image(U: ConcreteDouble,
 
     run_bounded(report, "essential-image", body, budget)
     if represented and not report.violations():
-        report.add_inconclusive(
-            "represented", cases=budget.used if budget else 0,
-            note="represented realization: spot-checked under budget")
-    if budget:
-        report.budget_used = budget.used
+        note = "represented realization: spot-checked under budget"
+        report.add_inconclusive("represented", cases=budget.used, note=note)
     return report

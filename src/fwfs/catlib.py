@@ -19,7 +19,7 @@ from .fincat import (FinCategory, Functor, NatTransformation,
                      check_category, check_functor, check_nat_transformation,
                      compose_functors, functor_equal, identity_functor)
 from .lifting import LiftingOperation, RuleLifting, SideMismatch
-from .report import Budget, Report, run_bounded
+from .report import UNBOUNDED, Budget, Report, run_bounded
 
 
 @dataclass
@@ -119,7 +119,7 @@ def cartesian_factor(F: SplitFibration, a, h, m, g):
 
 
 def check_split_fibration(F: SplitFibration,
-                          budget: Budget | None = None) -> Report:
+                          budget: Budget = UNBOUNDED) -> Report:
     report = Report()
     u = F.u
     A, B = u.source, u.target
@@ -164,8 +164,7 @@ def check_split_fibration(F: SplitFibration,
                     if B.comp[(h, g)] != u.mor_map[m]:
                         continue
                     n += 1
-                    if budget:
-                        budget.spend()
+                    budget.spend()
                     found = [psi for psi in A.hom(A.dom[m], x)
                              if A.comp[(th, psi)] == m
                              and u.mor_map[psi] == g]
@@ -192,8 +191,6 @@ def check_split_fibration(F: SplitFibration,
                 sbad.append({"kind": "composite-lift", "a": a, "h": h, "g": g,
                              "lhs": lhs, "rhs": rhs})
     report.record("splitness", sbad, cases=n)
-    if budget:
-        report.budget_used = budget.used
     return report
 
 
@@ -548,7 +545,7 @@ def cat_lifting_operation(L: SplRefDouble, R: SplFibDouble) -> LiftingOperation:
 
 
 def check_cat_roster(L: SplRefDouble, R: SplFibDouble,
-                     budget: Budget | None = None) -> Report:
+                     budget: Budget = UNBOUNDED) -> Report:
     """Validate the roster base, every registered reflection and
     fibration, and the canonical lifting operation's axioms."""
     from .lifting import check_lifting_operation
@@ -575,7 +572,7 @@ def check_cat_roster(L: SplRefDouble, R: SplFibDouble,
 
 
 def enumerate_functors(S: FinCategory, T: FinCategory, fixed_obj=None,
-                       fixed_mor=None, budget: Budget | None = None):
+                       fixed_mor=None, budget: Budget = UNBOUNDED):
     """All functors S → T extending the given partial assignments, in
     lexicographic order; each full candidate costs one budget unit."""
     fixed_obj = fixed_obj or {}
@@ -607,8 +604,7 @@ def enumerate_functors(S: FinCategory, T: FinCategory, fixed_obj=None,
         if not ok:
             continue
         for mcombo in itertools.product(*mor_choices):
-            if budget:
-                budget.spend()
+            budget.spend()
             full = dict(mor_map)
             full.update(zip(free_mors, mcombo))
             F = Functor(S, T, obj_map, full)
@@ -623,7 +619,7 @@ def enumerate_functors(S: FinCategory, T: FinCategory, fixed_obj=None,
 
 
 def check_free_split_fibration(cd: CommaData, tests,
-                               budget: Budget | None = None) -> Report:
+                               budget: Budget = UNBOUNDED) -> Report:
     """Universality of (i_f, 1): every square (r, s): f → v into a test
     split fibration v factors as (r', s∘·) through d_f via exactly one
     cleavage-preserving functor r': B/f → dom v with r'∘i_f = r and
@@ -663,14 +659,11 @@ def check_free_split_fibration(cd: CommaData, tests,
                                     "factorisations": len(found)})
         report.record("free-fibration-universality", bad, cases=n)
 
-    run_bounded(report, "free-fibration-universality", body, budget)
-    if budget:
-        report.budget_used = budget.used
-    return report
+    return run_bounded(report, "free-fibration-universality", body, budget)
 
 
 def check_cofree_split_reflection(cd: CommaData, tests,
-                                  budget: Budget | None = None) -> Report:
+                                  budget: Budget = UNBOUNDED) -> Report:
     """Couniversality of (1, d_f): every square (a, b) from a test split
     reflection x into f factors through i_f via exactly one
     unit-preserving functor b': cod x → B/f with d_f∘b' = b, b'∘u_x =
@@ -713,7 +706,4 @@ def check_cofree_split_reflection(cd: CommaData, tests,
                                     "factorisations": len(found)})
         report.record("cofree-reflection-couniversality", bad, cases=n)
 
-    run_bounded(report, "cofree-reflection-couniversality", body, budget)
-    if budget:
-        report.budget_used = budget.used
-    return report
+    return run_bounded(report, "cofree-reflection-couniversality", body, budget)

@@ -168,7 +168,6 @@ def cmd_sem(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    budget = _budget(args)
     _, S, FA = _load_bundle_fa(args.file, need_fa=True)
     A = awfs_mod.awfs_from_lifting(S, FA)
     report = awfs_mod.check_awfs(A)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .fincat import (FinCategory, Functor, check_category, check_functor,
                      identity_functor)
-from .report import Budget, BudgetExceeded, Report
+from .report import UNBOUNDED, Budget, Report, run_bounded
 
 
 class ClosureError(ValueError):
@@ -78,7 +78,7 @@ class ConcreteDouble:
         uv, uw = self.underlying(v), self.underlying(w)
         return [s for s in self.base.squares(uv, uw) if self.is_square(v, w, *s)]
 
-    def verticals_over(self, f, budget: Budget | None = None):
+    def verticals_over(self, f, budget: Budget = UNBOUNDED):
         return [v for v in self.verticals() if self.underlying(v) == f]
 
     # --- enumeration order ----------------------------------------------------
@@ -227,7 +227,7 @@ class DoubleCategory:
     name: str = ""
 
 
-def to_internal(D: ConcreteDouble, budget: Budget | None = None) -> DoubleCategory:
+def to_internal(D: ConcreteDouble, budget: Budget = UNBOUNDED) -> DoubleCategory:
     """Materialize the internal-category tables of a concrete double
     category.  For oracle-backed realizations this enumerates verticals
     under the given budget."""
@@ -243,8 +243,7 @@ def to_internal(D: ConcreteDouble, budget: Budget | None = None) -> DoubleCatego
         for wi in vids:
             w = label[wi]
             for top, bottom in D.squares(v, w):
-                if budget:
-                    budget.spend()
+                budget.spend()
                 mid = square_id(vi, wi, top, bottom)
                 morphs.append((mid, vi, wi))
                 sqdata[mid] = (vi, wi, top, bottom)
@@ -286,7 +285,7 @@ def to_internal(D: ConcreteDouble, budget: Budget | None = None) -> DoubleCatego
     return DoubleCategory(base, cat1, d, c, i, m_vert, m_sq, name=D.name)
 
 
-def check_double_category(D, budget: Budget | None = None) -> Report:
+def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
     """Verify the internal-category axioms and the interchange law.
 
     Accepts either a :class:`DoubleCategory` or a :class:`ConcreteDouble`.
@@ -294,18 +293,17 @@ def check_double_category(D, budget: Budget | None = None) -> Report:
     inconclusive rather than ok.
     """
     represented = isinstance(D, ConcreteDouble) and not D.explicit
-    if isinstance(D, ConcreteDouble):
-        if represented and budget is None:
-            budget = Budget()
-        try:
-            D = to_internal(D, budget)
-        except BudgetExceeded:
-            r = Report()
-            r.add_inconclusive("materialization", cases=budget.used,
-                               note=f"inconclusive, {budget.used} cases checked")
-            r.budget_used = budget.used
-            return r
     report = Report()
+    if isinstance(D, ConcreteDouble):
+        if represented and budget is UNBOUNDED:
+            budget = Budget()
+
+        def materialize():
+            nonlocal D
+            D = to_internal(D, budget)
+        run_bounded(report, "materialization", materialize, budget)
+        if not report.ok:
+            return report
     report.merge(check_category(D.cat0), prefix="cat0-")
     report.merge(check_category(D.cat1), prefix="cat1-")
     if not report.ok:
@@ -321,11 +319,8 @@ def check_double_category(D, budget: Budget | None = None) -> Report:
     for h in D.cat0.morphisms:
         if D.d.mor_map[D.i.mor_map[h]] != h or D.c.mor_map[D.i.mor_map[h]] != h:
             bad.append({"kind": "section-morphism", "morphism": h})
-    if bad:
-        report.add_violation("identity-section", bad)
-    else:
-        report.add_ok("identity-section",
-                      cases=len(D.cat0.objects) + len(D.cat0.morphisms))
+    report.record("identity-section", bad,
+                  cases=len(D.cat0.objects) + len(D.cat0.morphisms))
 
     # m total exactly on composable pairs, with correct boundaries
     tot = []
@@ -368,65 +363,60 @@ def check_double_category(D, budget: Budget | None = None) -> Report:
         bot = D.i.mor_map[D.d.mor_map[a]]
         if D.m_sq[(top, a)] != a or D.m_sq[(a, bot)] != a:
             unital.append({"kind": "square-unit", "square": a})
-    if unital:
-        report.add_violation("m-units", unital)
-    else:
-        report.add_ok("m-units", cases=len(D.cat1.objects) + len(D.cat1.morphisms))
+    report.record("m-units", unital,
+                  cases=len(D.cat1.objects) + len(D.cat1.morphisms))
 
-    assoc = []
-    n = 0
-    pairs_v = list(D.m_vert)
-    for (w, v), wv in D.m_vert.items():
-        for x in D.cat1.objects:
-            if D.d.obj_map[x] == D.c.obj_map[w]:
-                n += 1
-                if budget:
-                    budget.spend()
-                if D.m_vert[(x, wv)] != D.m_vert[(D.m_vert[(x, w)], v)]:
-                    assoc.append({"kind": "vertical", "x": x, "w": w, "v": v})
-    for (b, a), ba in D.m_sq.items():
-        for g in D.cat1.morphisms:
-            if D.d.mor_map[g] == D.c.mor_map[b]:
-                n += 1
-                if budget:
-                    budget.spend()
-                if D.m_sq[(g, ba)] != D.m_sq[(D.m_sq[(g, b)], a)]:
-                    assoc.append({"kind": "square", "gamma": g, "beta": b, "alpha": a})
-    report.record("m-associativity", assoc, cases=n)
-
-    # interchange: m is functorial on 2x2 grids of squares
-    inter = []
-    n = 0
-    comp1 = D.cat1.comp
-    stackable = list(D.m_sq)
-    horiz = {}
-    for (g, f) in comp1:
-        horiz.setdefault(f, []).append(g)
-    for (b, a), ba in D.m_sq.items():
-        # horizontal successors of the stacked pair (b', a') with a' after a, b' after b
-        for a2 in horiz.get(a, ()):
-            for b2 in horiz.get(b, ()):
-                if D.d.mor_map[b2] == D.c.mor_map[a2]:
+    def associativity():
+        assoc = []
+        n = 0
+        for (w, v), wv in D.m_vert.items():
+            for x in D.cat1.objects:
+                if D.d.obj_map[x] == D.c.obj_map[w]:
                     n += 1
-                    if budget:
+                    budget.spend()
+                    if D.m_vert[(x, wv)] != D.m_vert[(D.m_vert[(x, w)], v)]:
+                        assoc.append({"kind": "vertical", "x": x, "w": w, "v": v})
+        for (b, a), ba in D.m_sq.items():
+            for g in D.cat1.morphisms:
+                if D.d.mor_map[g] == D.c.mor_map[b]:
+                    n += 1
+                    budget.spend()
+                    if D.m_sq[(g, ba)] != D.m_sq[(D.m_sq[(g, b)], a)]:
+                        assoc.append({"kind": "square", "gamma": g, "beta": b,
+                                      "alpha": a})
+        report.record("m-associativity", assoc, cases=n)
+    run_bounded(report, "m-associativity", associativity, budget)
+
+    def interchange():
+        # m is functorial on 2x2 grids of squares
+        inter = []
+        n = 0
+        comp1 = D.cat1.comp
+        horiz = {}
+        for (g, f) in comp1:
+            horiz.setdefault(f, []).append(g)
+        for (b, a), ba in D.m_sq.items():
+            # horizontal successors of the stacked pair (b', a') with a' after a, b' after b
+            for a2 in horiz.get(a, ()):
+                for b2 in horiz.get(b, ()):
+                    if D.d.mor_map[b2] == D.c.mor_map[a2]:
+                        n += 1
                         budget.spend()
-                    lhs = D.m_sq[(comp1[(b2, b)], comp1[(a2, a)])]
-                    rhs = comp1[(D.m_sq[(b2, a2)], ba)]
-                    if lhs != rhs:
-                        inter.append({"alpha": a, "beta": b,
-                                      "alpha2": a2, "beta2": b2})
-    # m preserves identity squares of cat1
-    for (w, v), wv in D.m_vert.items():
-        if D.m_sq[(D.cat1.identities[w], D.cat1.identities[v])] != D.cat1.identities[wv]:
-            inter.append({"kind": "identity-square", "w": w, "v": v})
-    report.record("interchange", inter, cases=n)
+                        lhs = D.m_sq[(comp1[(b2, b)], comp1[(a2, a)])]
+                        rhs = comp1[(D.m_sq[(b2, a2)], ba)]
+                        if lhs != rhs:
+                            inter.append({"alpha": a, "beta": b,
+                                          "alpha2": a2, "beta2": b2})
+        # m preserves identity squares of cat1
+        for (w, v), wv in D.m_vert.items():
+            if D.m_sq[(D.cat1.identities[w], D.cat1.identities[v])] != D.cat1.identities[wv]:
+                inter.append({"kind": "identity-square", "w": w, "v": v})
+        report.record("interchange", inter, cases=n)
+    run_bounded(report, "interchange", interchange, budget)
 
     if represented and report.ok:
         note = "represented realization: spot-checked under budget"
-        report.add_inconclusive("represented", cases=budget.used if budget else 0,
-                                note=note)
-    if budget:
-        report.budget_used = budget.used
+        report.add_inconclusive("represented", cases=budget.used, note=note)
     return report
 
 
@@ -463,11 +453,8 @@ def check_double_functor(F: DoubleFunctor) -> Report:
             bad.append({"kind": "d", "square": a})
         if T.c.mor_map[F.f1.mor_map[a]] != F.f0.mor_map[S.c.mor_map[a]]:
             bad.append({"kind": "c", "square": a})
-    if bad:
-        report.add_violation("boundary-functors", bad)
-    else:
-        report.add_ok("boundary-functors",
-                      cases=2 * (len(S.cat1.objects) + len(S.cat1.morphisms)))
+    report.record("boundary-functors", bad,
+                  cases=2 * (len(S.cat1.objects) + len(S.cat1.morphisms)))
 
     ibad = []
     for o in S.cat0.objects:
@@ -476,11 +463,8 @@ def check_double_functor(F: DoubleFunctor) -> Report:
     for h in S.cat0.morphisms:
         if F.f1.mor_map[S.i.mor_map[h]] != T.i.mor_map[F.f0.mor_map[h]]:
             ibad.append({"morphism": h})
-    if ibad:
-        report.add_violation("i-preservation", ibad)
-    else:
-        report.add_ok("i-preservation",
-                      cases=len(S.cat0.objects) + len(S.cat0.morphisms))
+    report.record("i-preservation", ibad,
+                  cases=len(S.cat0.objects) + len(S.cat0.morphisms))
 
     mbad = []
     for (w, v), wv in S.m_vert.items():
@@ -489,10 +473,7 @@ def check_double_functor(F: DoubleFunctor) -> Report:
     for (b, a), ba in S.m_sq.items():
         if T.m_sq[(F.f1.mor_map[b], F.f1.mor_map[a])] != F.f1.mor_map[ba]:
             mbad.append({"kind": "square", "beta": b, "alpha": a})
-    if mbad:
-        report.add_violation("m-preservation", mbad)
-    else:
-        report.add_ok("m-preservation", cases=len(S.m_vert) + len(S.m_sq))
+    report.record("m-preservation", mbad, cases=len(S.m_vert) + len(S.m_sq))
     return report
 
 
@@ -540,7 +521,7 @@ def identity_double_map(D: ConcreteDouble, name="1") -> ConcreteDoubleMap:
 
 
 def check_concrete_double_map(F: ConcreteDoubleMap,
-                              budget: Budget | None = None) -> Report:
+                              budget: Budget = UNBOUNDED) -> Report:
     """Pointwise double-functor axioms for a concrete-over-C map."""
     report = Report()
     S, T = F.source, F.target
@@ -564,32 +545,33 @@ def check_concrete_double_map(F: ConcreteDoubleMap,
              if F.vertical_map[S.identity_vertical(o)] != T.identity_vertical(o)]
     report.record("identity-verticals", idbad, cases=len(S.base.objects))
 
-    cbad = []
-    n = 0
     verts = S.verticals()
-    for v in verts:
-        for w in verts:
-            if S.composable(w, v):
-                n += 1
-                if budget:
-                    budget.spend()
-                if F.vertical_map[S.compose(w, v)] != \
-                        T.compose(F.vertical_map[w], F.vertical_map[v]):
-                    cbad.append({"w": S.label(w), "v": S.label(v)})
-    report.record("vertical-composition", cbad, cases=n)
 
-    sbad = []
-    n = 0
-    for v in verts:
-        for w in verts:
-            for top, bottom in S.squares(v, w):
-                n += 1
-                if budget:
+    def composition():
+        cbad = []
+        n = 0
+        for v in verts:
+            for w in verts:
+                if S.composable(w, v):
+                    n += 1
                     budget.spend()
-                if not T.is_square(F.vertical_map[v], F.vertical_map[w], top, bottom):
-                    sbad.append({"v": S.label(v), "w": S.label(w),
-                                 "square": [top, bottom]})
-    report.record("square-preservation", sbad, cases=n)
-    if budget:
-        report.budget_used = budget.used
-    return report
+                    if F.vertical_map[S.compose(w, v)] != \
+                            T.compose(F.vertical_map[w], F.vertical_map[v]):
+                        cbad.append({"w": S.label(w), "v": S.label(v)})
+        report.record("vertical-composition", cbad, cases=n)
+    run_bounded(report, "vertical-composition", composition, budget)
+
+    def squares():
+        sbad = []
+        n = 0
+        for v in verts:
+            for w in verts:
+                for top, bottom in S.squares(v, w):
+                    n += 1
+                    budget.spend()
+                    if not T.is_square(F.vertical_map[v], F.vertical_map[w],
+                                       top, bottom):
+                        sbad.append({"v": S.label(v), "w": S.label(w),
+                                     "square": [top, bottom]})
+        report.record("square-preservation", sbad, cases=n)
+    return run_bounded(report, "square-preservation", squares, budget)

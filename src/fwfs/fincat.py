@@ -344,10 +344,9 @@ def check_functor(F: Functor) -> Report:
                if o not in F.obj_map]
     missing += [{"kind": "morphism-unmapped", "morphism": m} for m in S.morphisms
                 if m not in F.mor_map]
+    report.record("totality", missing, cases=len(S.objects) + len(S.morphisms))
     if missing:
-        report.add_violation("totality", missing)
         return report
-    report.add_ok("totality", cases=len(S.objects) + len(S.morphisms))
 
     bad = []
     for m in S.morphisms:

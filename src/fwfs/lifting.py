@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .dblcat import ConcreteDouble, ConcreteDoubleMap, OppositeDouble
 from .fincat import FinCategory, OppositeCategory
-from .report import Budget, Report, run_bounded
+from .report import UNBOUNDED, Budget, Report, run_bounded
 
 
 def enumerate_fillers(C: FinCategory, left, right, top, bottom):
@@ -235,8 +235,7 @@ def _horizontal_left(op: LiftingOperation, valid, budget):
                     continue
                 for s, t in squares:
                     n += 1
-                    if budget:
-                        budget.spend()
+                    budget.spend()
                     lhs = comp[(op.fill(j, k, s, t), r1)]
                     rhs = op.fill(i, k, comp[(s, r0)], comp[(t, r1)])
                     if lhs != rhs:
@@ -273,8 +272,7 @@ def _vertical_left(op: LiftingOperation, valid, budget):
                 continue
             for s, t in squares:
                 n += 1
-                if budget:
-                    budget.spend()
+                budget.spend()
                 mid = op.fill(i, k, s, comp[(t, uj)])
                 rhs = op.fill(j, k, mid, t)
                 lhs = op.fill(ji, k, s, t)
@@ -285,7 +283,7 @@ def _vertical_left(op: LiftingOperation, valid, budget):
 
 
 def check_lifting_operation(op: LiftingOperation,
-                            budget: Budget | None = None) -> Report:
+                            budget: Budget = UNBOUNDED) -> Report:
     """Verify filler validity plus the four compatibility families.
 
     The right-hand families, naturality in R-squares and composition in
@@ -312,8 +310,7 @@ def check_lifting_operation(op: LiftingOperation,
                 rk = R.underlying(k)
                 for top, bottom in C.squares(lj, rk):
                     n += 1
-                    if budget:
-                        budget.spend()
+                    budget.spend()
                     d = op.fill(j, k, top, bottom)
                     if (C.dom.get(d) != C.cod[lj] or C.cod.get(d) != C.dom[rk]
                             or comp[(d, lj)] != top or comp[(rk, d)] != bottom):
@@ -432,7 +429,7 @@ class _StoredFillers(LiftingOperation):
 
 
 def rlp_verify(L: ConcreteDouble, v: RlpVertical,
-               budget: Budget | None = None) -> Report:
+               budget: Budget = UNBOUNDED) -> Report:
     """Objecthood in RLP(L): total valid fillers, natural in L-squares,
     compatible with vertical composition in L.
 
@@ -446,40 +443,40 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
     if f not in C.dom:
         report.add_violation("boundaries", [{"kind": "unknown-morphism", "f": f}])
         return report
-    lverts = sorted(L.verticals(), key=L.label)
 
-    bad, n = [], 0
-    for j in lverts:
-        lj = L.underlying(j)
-        for top, bottom in C.squares(lj, f):
-            n += 1
-            if budget:
+    def validity():
+        bad, n = [], 0
+        for j in sorted(L.verticals(), key=L.label):
+            lj = L.underlying(j)
+            for top, bottom in C.squares(lj, f):
+                n += 1
                 budget.spend()
-            d = v.theta.get(v.key(L.label(j), top, bottom))
-            if d is None:
-                bad.append({"kind": "missing", "j": L.label(j),
-                            "square": [top, bottom]})
-            elif (C.dom.get(d) != C.cod[lj] or C.cod.get(d) != C.dom[f]
-                    or comp[(d, lj)] != top or comp[(f, d)] != bottom):
-                bad.append({"kind": "invalid", "j": L.label(j),
-                            "square": [top, bottom], "diagonal": d})
-    report.record("filler-validity", bad, cases=n)
-    if bad:
+                d = v.theta.get(v.key(L.label(j), top, bottom))
+                if d is None:
+                    bad.append({"kind": "missing", "j": L.label(j),
+                                "square": [top, bottom]})
+                elif (C.dom.get(d) != C.cod[lj] or C.cod.get(d) != C.dom[f]
+                        or comp[(d, lj)] != top or comp[(f, d)] != bottom):
+                    bad.append({"kind": "invalid", "j": L.label(j),
+                                "square": [top, bottom], "diagonal": d})
+        report.record("filler-validity", bad, cases=n)
+    run_bounded(report, "filler-validity", validity, budget)
+    if not report.ok:
         return report
     op = _StoredFillers(L, v)
     for name, law in (("horizontal-compatibility", _horizontal_left),
                       ("vertical-compatibility", _vertical_left)):
-        bad, n = law(op, True, budget)
-        report.record(name, [{k: x for k, x in w.items()
-                              if k not in ("lhs", "rhs")} for w in bad],
-                      cases=n)
-    if budget:
-        report.budget_used = budget.used
+        def family():
+            bad, n = law(op, True, budget)
+            report.record(name, [{k: x for k, x in w.items()
+                                  if k not in ("lhs", "rhs")} for w in bad],
+                          cases=n)
+        run_bounded(report, name, family, budget)
     return report
 
 
 def llp_verify(R: ConcreteDouble, v: LlpVertical,
-               budget: Budget | None = None) -> Report:
+               budget: Budget = UNBOUNDED) -> Report:
     """Objecthood in LLP(R): :func:`rlp_verify` against R^op."""
     report = rlp_verify(R.op(), v, budget)
     for c in report.checks:
@@ -538,7 +535,7 @@ class RlpDouble(ConcreteDouble):
 
     explicit = False
 
-    def __init__(self, L: ConcreteDouble, budget: Budget | None = None, name=""):
+    def __init__(self, L: ConcreteDouble, budget: Budget = UNBOUNDED, name=""):
         super().__init__(L.base, name or f"RLP({L.name})")
         self.L = L
         self.budget = budget
@@ -554,11 +551,12 @@ class RlpDouble(ConcreteDouble):
             ok = self._verified[v] = rlp_verify(self.L, v).ok
         return ok
 
-    def verticals_over(self, f, budget: Budget | None = None):
+    def verticals_over(self, f, budget: Budget = UNBOUNDED):
         cached = self._over.get(f)
         if cached is not None:
             return list(cached)
-        budget = budget or self.budget or Budget()
+        if budget is UNBOUNDED:
+            budget = Budget() if self.budget is UNBOUNDED else self.budget
         C = self.base
         L = self.L
         keys = []
@@ -633,17 +631,17 @@ class RlpDouble(ConcreteDouble):
 class LlpDouble(OppositeDouble):
     """Oracle-backed LLP(R): RLP(R^op) seen from C."""
 
-    def __init__(self, R: ConcreteDouble, budget: Budget | None = None, name=""):
+    def __init__(self, R: ConcreteDouble, budget: Budget = UNBOUNDED, name=""):
         super().__init__(RlpDouble(R.op(), budget), name or f"LLP({R.name})")
         self.R = R
 
 
-def rlp_double_category(L: ConcreteDouble, budget: Budget | None = None
+def rlp_double_category(L: ConcreteDouble, budget: Budget = UNBOUNDED
                         ) -> RlpDouble:
     return RlpDouble(L, budget)
 
 
-def llp_double_category(R: ConcreteDouble, budget: Budget | None = None
+def llp_double_category(R: ConcreteDouble, budget: Budget = UNBOUNDED
                         ) -> LlpDouble:
     return LlpDouble(R, budget)
 
@@ -652,7 +650,7 @@ def llp_double_category(R: ConcreteDouble, budget: Budget | None = None
 # transposes and structure morphisms
 
 
-def transpose_r(S: LiftingStructure, budget: Budget | None = None
+def transpose_r(S: LiftingStructure, budget: Budget = UNBOUNDED
                 ) -> ConcreteDoubleMap:
     """R -> RLP(L): each right vertical k becomes its underlying morphism
     equipped with the operation's fillers against every left vertical."""
@@ -663,7 +661,7 @@ def transpose_r(S: LiftingStructure, budget: Budget | None = None
     return ConcreteDoubleMap(R, RlpDouble(L, budget), vmap, name="phi_r")
 
 
-def transpose_l(S: LiftingStructure, budget: Budget | None = None
+def transpose_l(S: LiftingStructure, budget: Budget = UNBOUNDED
                 ) -> ConcreteDoubleMap:
     """L -> LLP(R): :func:`transpose_r` of the dual structure."""
     phi = transpose_r(S.dual(), budget)
@@ -690,43 +688,43 @@ def restrict(op: LiftingOperation, F: ConcreteDoubleMap | None,
 
 def check_structure_morphism(S: LiftingStructure, S2: LiftingStructure,
                              F_l: ConcreteDoubleMap, F_r: ConcreteDoubleMap,
-                             budget: Budget | None = None) -> Report:
+                             budget: Budget = UNBOUNDED) -> Report:
     """(F_l: L -> L', F_r: R' -> R) is a morphism S -> S' when restricting
     S'.op along F_l on the left equals restricting S.op along F_r on the
     right, as tables over (L, R')."""
     report = Report()
     L, R2 = S.left, S2.right
     C = L.base
-    bad, n = [], 0
-    for j in sorted(L.verticals(), key=L.label):
-        lj = L.underlying(j)
-        for k2 in sorted(R2.verticals(), key=R2.label):
-            rk = R2.underlying(k2)
-            for top, bottom in C.squares(lj, rk):
-                n += 1
-                if budget:
+
+    def agreement():
+        bad, n = [], 0
+        for j in sorted(L.verticals(), key=L.label):
+            lj = L.underlying(j)
+            for k2 in sorted(R2.verticals(), key=R2.label):
+                rk = R2.underlying(k2)
+                for top, bottom in C.squares(lj, rk):
+                    n += 1
                     budget.spend()
-                lhs = S2.op.fill(F_l(j), k2, top, bottom)
-                rhs = S.op.fill(j, F_r(k2), top, bottom)
-                if lhs != rhs:
-                    bad.append({"j": L.label(j), "k'": R2.label(k2),
-                                "square": [top, bottom], "lhs": lhs, "rhs": rhs})
-    report.record("operation-agreement", bad, cases=n)
-    if budget:
-        report.budget_used = budget.used
-    return report
+                    lhs = S2.op.fill(F_l(j), k2, top, bottom)
+                    rhs = S.op.fill(j, F_r(k2), top, bottom)
+                    if lhs != rhs:
+                        bad.append({"j": L.label(j), "k'": R2.label(k2),
+                                    "square": [top, bottom],
+                                    "lhs": lhs, "rhs": rhs})
+        report.record("operation-agreement", bad, cases=n)
+    return run_bounded(report, "operation-agreement", agreement, budget)
 
 
 # ---------------------------------------------------------------------------
 # the two lifting-awfs axioms
 
 
-def check_pre_awfs(S: LiftingStructure, budget: Budget | None = None) -> Report:
+def check_pre_awfs(S: LiftingStructure, budget: Budget = UNBOUNDED) -> Report:
     """Axiom of lifting: both transposes are bijective on verticals and
     on squares.  Injectivity is table comparison; surjectivity enumerates
     LLP/RLP verticals per morphism under the budget."""
     report = Report()
-    if budget is None:
+    if budget is UNBOUNDED:
         budget = Budget()
     C = S.left.base
 
@@ -779,7 +777,6 @@ def check_pre_awfs(S: LiftingStructure, budget: Budget | None = None) -> Report:
 
     side("phi_r", transpose_r(S, budget))
     side("phi_l", transpose_l(S, budget))
-    report.budget_used = budget.used
     return report
 
 
@@ -851,8 +848,7 @@ def _couniversal_left(S: LiftingStructure, FA: FactorisationAssignment,
             ux = L.underlying(x)
             for a, b in C.squares(ux, f):
                 n += 1
-                if budget:
-                    budget.spend()
+                budget.spend()
                 found = []
                 for b2 in C.hom(C.cod[ux], mid):
                     if comp[(rho, b2)] != b:
@@ -871,7 +867,7 @@ def _couniversal_left(S: LiftingStructure, FA: FactorisationAssignment,
 
 def check_factorisation_axiom(S: LiftingStructure, FA: FactorisationAssignment,
                               side: str = "both",
-                              budget: Budget | None = None) -> Report:
+                              budget: Budget = UNBOUNDED) -> Report:
     """Bi-universality of the factorisations.
 
     Left side (couniversality of (1, rho_f)): every square (a, b) from a
@@ -900,14 +896,12 @@ def check_factorisation_axiom(S: LiftingStructure, FA: FactorisationAssignment,
         run_bounded(report, "couniversal-left", left_side, budget)
     if side in ("both", "right-only"):
         run_bounded(report, "universal-right", right_side, budget)
-    if budget:
-        report.budget_used = budget.used
     return report
 
 
 def check_lifting_awfs(S: LiftingStructure, FA: FactorisationAssignment,
                        side: str = "both",
-                       budget: Budget | None = None) -> Report:
+                       budget: Budget = UNBOUNDED) -> Report:
     """Both axioms: the operation's compatibilities, the lifting axiom,
     and the factorisation axiom."""
     report = Report()
@@ -926,7 +920,7 @@ def check_lifting_awfs(S: LiftingStructure, FA: FactorisationAssignment,
 # canonical structures
 
 
-def canonical_left(L: ConcreteDouble, budget: Budget | None = None
+def canonical_left(L: ConcreteDouble, budget: Budget = UNBOUNDED
                    ) -> LiftingStructure:
     """(L, can, RLP(L)): the filler is read off the stored theta of the
     RLP vertical."""
@@ -938,7 +932,7 @@ def canonical_left(L: ConcreteDouble, budget: Budget | None = None
     return LiftingStructure(L, RuleLifting(L, rlp, rule, name="can_l"), rlp)
 
 
-def canonical_morphism_from(S: LiftingStructure, budget: Budget | None = None):
+def canonical_morphism_from(S: LiftingStructure, budget: Budget = UNBOUNDED):
     """The morphism (1, phi_r): canonical_left(S.left) -> S with identity
     left component, certified by check_structure_morphism."""
     from .dblcat import identity_double_map

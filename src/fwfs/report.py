@@ -50,8 +50,9 @@ class Budget:
         self._deadline = time.monotonic() + self.max_seconds
 
     def spend(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.max_candidates:
+        # raise before charging, so ``used`` counts only what was checked
+        used = self.used + n
+        if used > self.max_candidates:
             raise BudgetExceeded("candidate budget exhausted")
         # polling the clock is comparatively expensive; sample it
         self._check_clock += 1
@@ -59,6 +60,21 @@ class Budget:
             self._check_clock = 0
             if time.monotonic() > self._deadline:
                 raise BudgetExceeded("time budget exhausted")
+        self.used = used
+
+
+class _Unbounded(Budget):
+    """The null budget: spending is free and never runs out."""
+
+    def spend(self, n: int = 1) -> None:
+        pass
+
+    def __repr__(self):
+        return "UNBOUNDED"
+
+
+# the default of every bounded checker; its ``used`` stays 0
+UNBOUNDED = _Unbounded()
 
 
 @dataclass
@@ -128,7 +144,8 @@ class Report:
         for c in other.checks:
             name = prefix + c.name if prefix else c.name
             self.checks.append(Check(name, c.status, c.witnesses, c.cases))
-        self.budget_used += other.budget_used
+        # the checks of one run share a budget: its total covers both
+        self.budget_used = max(self.budget_used, other.budget_used)
         return self
 
     def violations(self):
@@ -149,14 +166,18 @@ class Report:
 
 
 def run_bounded(report: Report, name: str, fn, budget: Budget | None):
-    """Run ``fn(report)``; downgrade to inconclusive if the budget runs out."""
-    before = budget.used if budget else 0
+    """Run ``fn()``; record ``name`` inconclusive if the budget runs out.
+
+    This is the one place a budget's exhaustion is caught and the one
+    writer of ``report.budget_used``, which it sets to the budget's
+    running total.  ``None`` is taken as :data:`UNBOUNDED`."""
+    budget = budget or UNBOUNDED
+    before = budget.used
     try:
         fn()
-    except BudgetExceeded:
-        cases = (budget.used - before) if budget else 0
+    except BudgetExceeded as e:
+        cases = budget.used - before
         report.add_inconclusive(name, cases=cases,
-                                note=f"budget exhausted, {cases} cases checked")
-    if budget:
-        report.budget_used += budget.used - before
+                                note=f"{e}, {cases} cases checked")
+    report.budget_used = budget.used
     return report

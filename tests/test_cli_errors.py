@@ -69,3 +69,30 @@ def test_factorisation_not_composing_to_f_is_a_violation(capsys, tmp_path):
     assert code == 1
     assert doc["checks"][-1]["witnesses"] == [
         {"kind": "composite", "f": "2>2:01", "got": "2>2:00"}]
+
+
+def functor_dict(F):
+    return {"object_map": F.obj_map, "morphism_map": F.mor_map}
+
+
+def test_exhausted_budget_on_a_double_category_is_inconclusive(capsys,
+                                                              tmp_path):
+    """Running out of budget in the law blocks of check_double_category
+    is an inconclusive verdict, exit 2, not a traceback."""
+    from fwfs import sq, to_internal, walking_arrow
+    from fwfs.io import category_to_dict
+    D = to_internal(sq(walking_arrow()))
+    m = [[w, v, wv] for (w, v), wv in {**D.m_vert, **D.m_sq}.items()]
+    path = tmp_path / "sq_arrow.json"
+    path.write_text(json.dumps({
+        "cat0": category_to_dict(D.cat0), "cat1": category_to_dict(D.cat1),
+        "d": functor_dict(D.d), "c": functor_dict(D.c),
+        "i": functor_dict(D.i), "m": m}))
+    code, doc = run_cli(capsys, "check", "double", str(path))
+    assert code == 0 and doc["status"] == "ok"
+    code, doc = run_cli(capsys, "--max-candidates", "2",
+                        "check", "double", str(path))
+    assert code == 2 and doc["status"] == "inconclusive"
+    status = {c["name"]: c["status"] for c in doc["checks"]}
+    assert status["m-associativity"] == "inconclusive"
+    assert doc["budget_used"] == 2
