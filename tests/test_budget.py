@@ -71,8 +71,8 @@ def test_merge_keeps_the_larger_total():
 
 
 def laws_on_one_unit(S):
-    """Every checker that spends outside a bounded block before this
-    model, run on a budget of one candidate."""
+    """The checkers whose law blocks spend budget, each run on a
+    budget of one candidate."""
     phi_r, phi_l = transpose_r(S), transpose_l(S)
     v = max(phi_r.vertical_map.values(), key=lambda v: len(v.theta))
     w = max(phi_l.vertical_map.values(), key=lambda w: len(w.theta))
