@@ -6,8 +6,9 @@ import json
 import os
 
 from fwfs import (FactorisationAssignment, LiftingStructure, awfs_from_lifting,
-                  build_finset, comma_category, dbl_from_class,
-                  terminal_category, unique_filler_lifting, walking_arrow)
+                  build_finset, comma_category, dbl_from_class, sq,
+                  terminal_category, to_internal, unique_filler_lifting,
+                  walking_arrow)
 from fwfs.fincat import (compose_functors, finset_image_factorisation,
                          identity_functor)
 from fwfs.io import awfs_to_dict, category_to_dict
@@ -23,11 +24,29 @@ def dump(name, doc):
     print("wrote", path)
 
 
+def functor_doc(F):
+    return {"object_map": F.obj_map, "morphism_map": F.mor_map}
+
+
+def double_doc(D):
+    """The internal presentation of a concrete double category, in the
+    format that ``fwfs check double`` reads."""
+    T = to_internal(D)
+    return {
+        "name": T.name,
+        "cat0": category_to_dict(T.cat0), "cat1": category_to_dict(T.cat1),
+        "d": functor_doc(T.d), "c": functor_doc(T.c), "i": functor_doc(T.i),
+        "m": [[w, v, wv] for (w, v), wv
+              in sorted({**T.m_vert, **T.m_sq}.items())],
+    }
+
+
 def main():
     os.makedirs(DATA, exist_ok=True)
     dump("terminal.json", category_to_dict(terminal_category()))
     W = walking_arrow()
     dump("walking_arrow.json", category_to_dict(W))
+    dump("sq_walking_arrow_double.json", double_doc(sq(W)))
 
     fs = build_finset(2)
     C = fs.category
@@ -51,6 +70,8 @@ def main():
         {f: finset_image_factorisation(f) for f in C.morphisms})
     A = awfs_from_lifting(S, FA)
     dump("image_awfs_finset2.json", awfs_to_dict(A, "finset2.json"))
+    dump("epi_finset2_double.json",
+         double_doc(dbl_from_class(C, fs.epis, name="D(Epi)")))
 
     # functor 1 -> walking arrow selecting the object 0
     dump("pick0.json", {
@@ -79,8 +100,7 @@ def main():
     idd = compose_functors(i, d, name="idd")
 
     def fdoc(F, src, dst):
-        return {"source": src, "target": dst,
-                "object_map": F.obj_map, "morphism_map": F.mor_map}
+        return {"source": src, "target": dst, **functor_doc(F)}
 
     dump("comma_roster.json", {
         "categories": {"W": category_to_dict(W), "K": category_to_dict(K)},

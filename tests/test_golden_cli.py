@@ -1,4 +1,4 @@
-"""Replay the CLI on the ``demos/data`` bundles and compare stdout and
+"""Replay the CLI on the ``demos/data`` files and compare stdout and
 the exit code byte for byte with the recorded goldens in
 ``tests/golden/``.
 
@@ -41,9 +41,22 @@ COMMANDS = {
                                         "check", "pre-awfs", FILE],
 }
 
-# the lifting bundle and the awfs bundle; every other data file is a
-# usage error (exit 64, empty stdout) for all of these commands
-BUNDLES = ["epi_mono_finset2.json", "image_awfs_finset2.json"]
+DOUBLE_COMMANDS = {
+    "check-double": ["check", "double", FILE],
+    "max-candidates-5-check-double": ["--max-candidates", "5",
+                                      "check", "double", FILE],
+}
+
+# each data file with the commands replayed on it: the lifting bundle and
+# the awfs bundle (every other data file is a usage error, exit 64 and
+# empty stdout, for all of COMMANDS), and two internal presentations of
+# double categories
+BUNDLES = {
+    "epi_mono_finset2.json": COMMANDS,
+    "image_awfs_finset2.json": COMMANDS,
+    "sq_walking_arrow_double.json": DOUBLE_COMMANDS,
+    "epi_finset2_double.json": DOUBLE_COMMANDS,
+}
 
 
 def run(argv):
@@ -57,7 +70,7 @@ def run(argv):
 def record(bundle):
     path = os.path.join(DATA, bundle)
     return {slug: run([path if a == FILE else a for a in argv])
-            for slug, argv in COMMANDS.items()}
+            for slug, argv in BUNDLES[bundle].items()}
 
 
 def golden_path(bundle):
@@ -71,7 +84,7 @@ def test_cli_matches_golden(bundle, monkeypatch):
         expected = json.load(fh)
     got = record(bundle)
     assert set(got) == set(expected)
-    for slug in COMMANDS:
+    for slug in BUNDLES[bundle]:
         assert got[slug] == expected[slug], slug
 
 
