@@ -10,10 +10,8 @@ from .fincat import (FinCategory, Functor, NatTransformation, Adjunction,
                      check_adjunction, check_category, check_functor,
                      terminal_category, walking_arrow)
 from .dblcat import (ClassDouble, ClosureError, ConcreteDouble,
-                     ConcreteDoubleMap, DoubleCategory, DoubleFunctor,
-                     OppositeDouble,
-                     check_double_category, check_double_functor,
-                     dbl_from_class, sq, to_internal)
+                     ConcreteDoubleMap, DoubleCategory, OppositeDouble,
+                     check_double_category, dbl_from_class, sq, to_internal)
 from .lifting import (FactorisationAssignment, LiftingOperation,
                       LiftingStructure, LlpVertical, NotOrthogonal,
                       RlpVertical, SideMismatch, canonical_left,

@@ -2,7 +2,7 @@
 
 Two realizations live behind one interface: explicit tables for finite
 data (:class:`ClassDouble`, and anything convertible via
-:meth:`ConcreteDouble.to_internal`), and oracle-backed ones for the
+:func:`to_internal`), and oracle-backed ones for the
 left/right lifting-property double categories, whose verticals are only
 ever enumerated under an explicit budget (see :mod:`fwfs.lifting`).
 
@@ -18,8 +18,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .fincat import (FinCategory, Functor, check_category, check_functor,
-                     identity_functor)
+from .fincat import (FinCategory, Functor, arrow_mor_id, check_category,
+                     check_functor, square_category)
 from .report import UNBOUNDED, Budget, Report, run_bounded
 
 
@@ -206,10 +206,6 @@ def dbl_from_class(C: FinCategory, members, name="") -> ClassDouble:
 # internal-category presentation
 
 
-def square_id(v, w, top, bottom) -> str:
-    return f"[{top}|{bottom}]:{v}=>{w}"
-
-
 @dataclass
 class DoubleCategory:
     """Internal-category presentation: cat0 holds objects and horizontal
@@ -229,46 +225,20 @@ class DoubleCategory:
 
 def to_internal(D: ConcreteDouble, budget: Budget = UNBOUNDED) -> DoubleCategory:
     """Materialize the internal-category tables of a concrete double
-    category.  For oracle-backed realizations this enumerates verticals
-    under the given budget."""
+    category; cat1 is built as C^2 is, from D's squares.  Verticals are
+    enumerated over each morphism of the base, under the given budget."""
     base = D.base
-    verts = sorted(D.verticals(), key=D.label)
+    verts = sorted((v for f in base.morphisms for v in D.verticals_over(f, budget)),
+                   key=D.label)
     label = {D.label(v): v for v in verts}
     vids = [D.label(v) for v in verts]
-    morphs = []
-    sqdata = {}
-    identities = {}
-    for vi in vids:
-        v = label[vi]
-        for wi in vids:
-            w = label[wi]
-            for top, bottom in D.squares(v, w):
-                budget.spend()
-                mid = square_id(vi, wi, top, bottom)
-                morphs.append((mid, vi, wi))
-                sqdata[mid] = (vi, wi, top, bottom)
-        uv = D.underlying(v)
-        identities[vi] = square_id(vi, vi, base.identities[base.dom[uv]],
-                                   base.identities[base.cod[uv]])
-    comp = {}
-    by_dom = {}
-    for mid, dm, _ in morphs:
-        by_dom.setdefault(dm, []).append(mid)
-    for mid, dm, cm in morphs:
-        v, w, t1, b1 = sqdata[mid]
-        for nid in by_dom.get(cm, ()):
-            _, x, t2, b2 = sqdata[nid]
-            comp[(nid, mid)] = square_id(v, x, base.comp[(t2, t1)],
-                                         base.comp[(b2, b1)])
-    cat1 = FinCategory(vids, morphs, identities, comp, name="verticals")
-    d = Functor(cat1, base, {vi: base.dom[D.underlying(label[vi])] for vi in vids},
-                {mid: sqdata[mid][2] for mid in sqdata}, name="d")
-    c = Functor(cat1, base, {vi: base.cod[D.underlying(label[vi])] for vi in vids},
-                {mid: sqdata[mid][3] for mid in sqdata}, name="c")
-    i = Functor(base, cat1,
-                {o: D.label(D.identity_vertical(o)) for o in base.objects},
-                {h: square_id(D.label(D.identity_vertical(base.dom[h])),
-                              D.label(D.identity_vertical(base.cod[h])), h, h)
+    sqc = square_category(base, vids, {x: D.underlying(v) for x, v in label.items()},
+                          lambda x, y: D.squares(label[x], label[y]), budget,
+                          name="verticals")
+    cat1, d, c = sqc.category, sqc.dom_proj, sqc.cod_proj
+    ivert = {o: D.label(D.identity_vertical(o)) for o in base.objects}
+    i = Functor(base, cat1, ivert,
+                {h: arrow_mor_id(ivert[base.dom[h]], ivert[base.cod[h]], h, h)
                  for h in base.morphisms},
                 name="i")
     m_vert = {}
@@ -276,13 +246,42 @@ def to_internal(D: ConcreteDouble, budget: Budget = UNBOUNDED) -> DoubleCategory
         for wi in vids:
             if D.composable(label[wi], label[vi]):
                 m_vert[(wi, vi)] = D.label(D.compose(label[wi], label[vi]))
+    # squares in the order they were enumerated, by their top edge: beta
+    # stacks on alpha when its top is alpha's bottom
+    by_top = {}
+    for b, top in d.mor_map.items():
+        by_top.setdefault(top, []).append(b)
     m_sq = {}
-    for aid, (v1, v2, t, b) in sqdata.items():
-        for bid, (w1, w2, t2, b2) in sqdata.items():
-            if t2 == b:  # d(beta) = c(alpha): vertically stackable
-                m_sq[(bid, aid)] = square_id(m_vert[(w1, v1)], m_vert[(w2, v2)],
-                                             t, b2)
+    for a, bottom in c.mor_map.items():
+        for b in by_top.get(bottom, ()):
+            m_sq[(b, a)] = arrow_mor_id(m_vert[(cat1.dom[b], cat1.dom[a])],
+                                        m_vert[(cat1.cod[b], cat1.cod[a])],
+                                        d.mor_map[a], c.mor_map[b])
     return DoubleCategory(base, cat1, d, c, i, m_vert, m_sq, name=D.name)
+
+
+@dataclass
+class _Level:
+    """One dimension of a :class:`DoubleCategory`: the objects of cat0
+    and the verticals, or the morphisms of cat0 and the squares.  d, c,
+    i and m act on both, and each of their laws is checked on both."""
+
+    noun: str          # "vertical" or "square", as witnesses name them
+    keys: tuple        # witness keys of a stackable triple, outermost first
+    unstackable: str   # witness kind of a key of m that is no stackable pair
+    base_noun: str     # "object" or "morphism"
+    base: tuple        # the objects or the morphisms of cat0
+    elements: tuple    # the objects or the morphisms of cat1
+    d: dict
+    c: dict
+    i: dict
+    m: dict
+    frame: tuple       # cat1's dom and cod on squares: their vertical sides
+
+    def __post_init__(self):
+        self.above = {}  # y -> the elements x with d(x) = y, in order
+        for x in self.elements:
+            self.above.setdefault(self.d[x], []).append(x)
 
 
 def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
@@ -290,7 +289,8 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
 
     Accepts either a :class:`DoubleCategory` or a :class:`ConcreteDouble`.
     Oracle-backed realizations are spot-checked under budget and reported
-    inconclusive rather than ok.
+    inconclusive rather than ok.  As in :func:`check_category`, a failed
+    check that later lookups rely on ends the report.
     """
     represented = isinstance(D, ConcreteDouble) and not D.explicit
     report = Report()
@@ -312,78 +312,66 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
         sub = check_functor(F)
         if not sub.ok:
             report.merge(sub, prefix=f"{nm}-")
-    bad = []
-    for o in D.cat0.objects:
-        if D.d.obj_map[D.i.obj_map[o]] != o or D.c.obj_map[D.i.obj_map[o]] != o:
-            bad.append({"kind": "section-object", "object": o})
-    for h in D.cat0.morphisms:
-        if D.d.mor_map[D.i.mor_map[h]] != h or D.c.mor_map[D.i.mor_map[h]] != h:
-            bad.append({"kind": "section-morphism", "morphism": h})
+    if not report.ok:
+        return report
+    levels = (_Level("vertical", ("x", "w", "v"), "non-composable-verticals",
+                     "object", D.cat0.objects, D.cat1.objects, D.d.obj_map,
+                     D.c.obj_map, D.i.obj_map, D.m_vert, ()),
+              _Level("square", ("gamma", "beta", "alpha"), "non-stackable-squares",
+                     "morphism", D.cat0.morphisms, D.cat1.morphisms, D.d.mor_map,
+                     D.c.mor_map, D.i.mor_map, D.m_sq, (D.cat1.dom, D.cat1.cod)))
+    bad = [{"kind": f"section-{L.base_noun}", L.base_noun: y} for L in levels
+           for y in L.base if L.d[L.i[y]] != y or L.c[L.i[y]] != y]
     report.record("identity-section", bad,
                   cases=len(D.cat0.objects) + len(D.cat0.morphisms))
+    if bad:
+        return report
 
-    # m total exactly on composable pairs, with correct boundaries
+    # m defined exactly on the stackable pairs of each level, and a
+    # functor: w∘v lies over d(v), c(w) and, for squares, over the
+    # composites of the verticals w and v lie over
     tot = []
     n = 0
-    for v in D.cat1.objects:
-        for w in D.cat1.objects:
-            if D.d.obj_map[w] == D.c.obj_map[v]:
+    for L in levels:
+        _, later, first = L.keys
+        elements = set(L.elements)
+        for v in L.elements:
+            for w in L.above.get(L.c[v], ()):
                 n += 1
-                wv = D.m_vert.get((w, v))
+                wv = L.m.get((w, v))
                 if wv is None:
-                    tot.append({"kind": "undefined-vertical-composite", "w": w, "v": v})
-                elif (D.d.obj_map[wv] != D.d.obj_map[v]
-                      or D.c.obj_map[wv] != D.c.obj_map[w]):
-                    tot.append({"kind": "vertical-boundary", "w": w, "v": v})
-    for (w, v) in D.m_vert:
-        if D.d.obj_map.get(w) != D.c.obj_map.get(v):
-            tot.append({"kind": "non-composable-verticals", "w": w, "v": v})
-    for a in D.cat1.morphisms:
-        for b in D.cat1.morphisms:
-            if D.d.mor_map[b] == D.c.mor_map[a]:
-                n += 1
-                if (b, a) not in D.m_sq:
-                    tot.append({"kind": "undefined-square-composite", "beta": b, "alpha": a})
-    for (b, a) in D.m_sq:
-        if D.d.mor_map.get(b) != D.c.mor_map.get(a):
-            tot.append({"kind": "non-stackable-squares", "beta": b, "alpha": a})
+                    tot.append({"kind": f"undefined-{L.noun}-composite",
+                                later: w, first: v})
+                elif wv not in elements or \
+                        (L.d[wv], L.c[wv], *(f[wv] for f in L.frame)) != \
+                        (L.d[v], L.c[w], *(D.m_vert.get((f[w], f[v]))
+                                           for f in L.frame)):
+                    tot.append({"kind": f"{L.noun}-boundary", later: w, first: v})
+        for (w, v) in L.m:
+            if w not in elements or v not in elements or L.d[w] != L.c[v]:
+                tot.append({"kind": L.unstackable, later: w, first: v})
     report.record("m-totality", tot, cases=n)
     if tot:
         return report
 
-    # m unital and associative on verticals
-    unital = []
-    for v in D.cat1.objects:
-        top = D.i.obj_map[D.c.obj_map[v]]
-        bot = D.i.obj_map[D.d.obj_map[v]]
-        if D.m_vert[(top, v)] != v or D.m_vert[(v, bot)] != v:
-            unital.append({"kind": "vertical-unit", "vertical": v})
-    for a in D.cat1.morphisms:
-        top = D.i.mor_map[D.c.mor_map[a]]
-        bot = D.i.mor_map[D.d.mor_map[a]]
-        if D.m_sq[(top, a)] != a or D.m_sq[(a, bot)] != a:
-            unital.append({"kind": "square-unit", "square": a})
+    unital = [{"kind": f"{L.noun}-unit", L.noun: x} for L in levels
+              for x in L.elements
+              if L.m[(L.i[L.c[x]], x)] != x or L.m[(x, L.i[L.d[x]])] != x]
     report.record("m-units", unital,
                   cases=len(D.cat1.objects) + len(D.cat1.morphisms))
 
     def associativity():
         assoc = []
         n = 0
-        for (w, v), wv in D.m_vert.items():
-            for x in D.cat1.objects:
-                if D.d.obj_map[x] == D.c.obj_map[w]:
+        for L in levels:
+            outer, later, first = L.keys
+            for (w, v), wv in L.m.items():
+                for x in L.above.get(L.c[w], ()):
                     n += 1
                     budget.spend()
-                    if D.m_vert[(x, wv)] != D.m_vert[(D.m_vert[(x, w)], v)]:
-                        assoc.append({"kind": "vertical", "x": x, "w": w, "v": v})
-        for (b, a), ba in D.m_sq.items():
-            for g in D.cat1.morphisms:
-                if D.d.mor_map[g] == D.c.mor_map[b]:
-                    n += 1
-                    budget.spend()
-                    if D.m_sq[(g, ba)] != D.m_sq[(D.m_sq[(g, b)], a)]:
-                        assoc.append({"kind": "square", "gamma": g, "beta": b,
-                                      "alpha": a})
+                    if L.m[(x, wv)] != L.m[(L.m[(x, w)], v)]:
+                        assoc.append({"kind": L.noun, outer: x, later: w,
+                                      first: v})
         report.record("m-associativity", assoc, cases=n)
     run_bounded(report, "m-associativity", associativity, budget)
 
@@ -393,20 +381,21 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
         n = 0
         comp1 = D.cat1.comp
         horiz = {}
+        stacked = {}  # f -> d(g) -> the g after f with that top, in order
         for (g, f) in comp1:
             horiz.setdefault(f, []).append(g)
+            stacked.setdefault(f, {}).setdefault(D.d.mor_map[g], []).append(g)
         for (b, a), ba in D.m_sq.items():
             # horizontal successors of the stacked pair (b', a') with a' after a, b' after b
             for a2 in horiz.get(a, ()):
-                for b2 in horiz.get(b, ()):
-                    if D.d.mor_map[b2] == D.c.mor_map[a2]:
-                        n += 1
-                        budget.spend()
-                        lhs = D.m_sq[(comp1[(b2, b)], comp1[(a2, a)])]
-                        rhs = comp1[(D.m_sq[(b2, a2)], ba)]
-                        if lhs != rhs:
-                            inter.append({"alpha": a, "beta": b,
-                                          "alpha2": a2, "beta2": b2})
+                for b2 in stacked[b].get(D.c.mor_map[a2], ()):
+                    n += 1
+                    budget.spend()
+                    lhs = D.m_sq[(comp1[(b2, b)], comp1[(a2, a)])]
+                    rhs = comp1[(D.m_sq[(b2, a2)], ba)]
+                    if lhs != rhs:
+                        inter.append({"alpha": a, "beta": b,
+                                      "alpha2": a2, "beta2": b2})
         # m preserves identity squares of cat1
         for (w, v), wv in D.m_vert.items():
             if D.m_sq[(D.cat1.identities[w], D.cat1.identities[v])] != D.cat1.identities[wv]:
@@ -418,83 +407,6 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
         note = "represented realization: spot-checked under budget"
         report.add_inconclusive("represented", cases=budget.used, note=note)
     return report
-
-
-# ---------------------------------------------------------------------------
-# double functors
-
-
-@dataclass
-class DoubleFunctor:
-    """Internal functor between internal-category presentations."""
-
-    source: DoubleCategory
-    target: DoubleCategory
-    f0: Functor
-    f1: Functor
-    name: str = ""
-
-
-def check_double_functor(F: DoubleFunctor) -> Report:
-    report = Report()
-    report.merge(check_functor(F.f0), prefix="f0-")
-    report.merge(check_functor(F.f1), prefix="f1-")
-    if not report.ok:
-        return report
-    S, T = F.source, F.target
-    bad = []
-    for v in S.cat1.objects:
-        if T.d.obj_map[F.f1.obj_map[v]] != F.f0.obj_map[S.d.obj_map[v]]:
-            bad.append({"kind": "d", "vertical": v})
-        if T.c.obj_map[F.f1.obj_map[v]] != F.f0.obj_map[S.c.obj_map[v]]:
-            bad.append({"kind": "c", "vertical": v})
-    for a in S.cat1.morphisms:
-        if T.d.mor_map[F.f1.mor_map[a]] != F.f0.mor_map[S.d.mor_map[a]]:
-            bad.append({"kind": "d", "square": a})
-        if T.c.mor_map[F.f1.mor_map[a]] != F.f0.mor_map[S.c.mor_map[a]]:
-            bad.append({"kind": "c", "square": a})
-    report.record("boundary-functors", bad,
-                  cases=2 * (len(S.cat1.objects) + len(S.cat1.morphisms)))
-
-    ibad = []
-    for o in S.cat0.objects:
-        if F.f1.obj_map[S.i.obj_map[o]] != T.i.obj_map[F.f0.obj_map[o]]:
-            ibad.append({"object": o})
-    for h in S.cat0.morphisms:
-        if F.f1.mor_map[S.i.mor_map[h]] != T.i.mor_map[F.f0.mor_map[h]]:
-            ibad.append({"morphism": h})
-    report.record("i-preservation", ibad,
-                  cases=len(S.cat0.objects) + len(S.cat0.morphisms))
-
-    mbad = []
-    for (w, v), wv in S.m_vert.items():
-        if T.m_vert[(F.f1.obj_map[w], F.f1.obj_map[v])] != F.f1.obj_map[wv]:
-            mbad.append({"kind": "vertical", "w": w, "v": v})
-    for (b, a), ba in S.m_sq.items():
-        if T.m_sq[(F.f1.mor_map[b], F.f1.mor_map[a])] != F.f1.mor_map[ba]:
-            mbad.append({"kind": "square", "beta": b, "alpha": a})
-    report.record("m-preservation", mbad, cases=len(S.m_vert) + len(S.m_sq))
-    return report
-
-
-def inclusion_double_functor(sub: ConcreteDouble, sup: ConcreteDouble,
-                             vertical_map=None) -> DoubleFunctor:
-    """Inclusion (or any vertical-wise map over the identity of the base)
-    as an internal double functor, for checking with check_double_functor."""
-    S = to_internal(sub)
-    T = to_internal(sup)
-    base = sub.base
-    if vertical_map is None:
-        vertical_map = {v: v for v in S.cat1.objects}
-    f0 = identity_functor(base)
-    obj_map = dict(vertical_map)
-    mor_map = {}
-    for mid in S.cat1.morphisms:
-        v, w = S.cat1.dom[mid], S.cat1.cod[mid]
-        mor_map[mid] = square_id(vertical_map[v], vertical_map[w],
-                                 S.d.mor_map[mid], S.c.mor_map[mid])
-    f1 = Functor(S.cat1, T.cat1, obj_map, mor_map, name="incl1")
-    return DoubleFunctor(S, T, f0, f1, name=f"{sub.name}->{sup.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +437,9 @@ def check_concrete_double_map(F: ConcreteDoubleMap,
     """Pointwise double-functor axioms for a concrete-over-C map."""
     report = Report()
     S, T = F.source, F.target
+    verts = S.verticals()
     bad = []
-    n = 0
-    for v in S.verticals():
-        n += 1
+    for v in verts:
         img = F.vertical_map.get(v)
         if img is None:
             bad.append({"kind": "unmapped", "vertical": S.label(v)})
@@ -537,15 +448,13 @@ def check_concrete_double_map(F: ConcreteDoubleMap,
             bad.append({"kind": "not-a-vertical", "vertical": S.label(v)})
         elif T.underlying(img) != S.underlying(v):
             bad.append({"kind": "over-base", "vertical": S.label(v)})
-    report.record("verticals", bad, cases=n)
+    report.record("verticals", bad, cases=len(verts))
     if bad:
         return report
 
     idbad = [{"object": o} for o in S.base.objects
              if F.vertical_map[S.identity_vertical(o)] != T.identity_vertical(o)]
     report.record("identity-verticals", idbad, cases=len(S.base.objects))
-
-    verts = S.verticals()
 
     def composition():
         cbad = []

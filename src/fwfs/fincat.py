@@ -17,7 +17,7 @@ import itertools
 import weakref
 from dataclasses import dataclass
 
-from .report import Report
+from .report import UNBOUNDED, Budget, Report
 
 
 class FinCategory:
@@ -554,21 +554,26 @@ class ArrowCategory:
     cod_proj: Functor
 
 
-def arrow_category(C: FinCategory) -> ArrowCategory:
-    """Objects are the morphisms of C; morphisms are commuting squares,
-    composed by pasting."""
-    objects = list(C.morphisms)
+def square_category(C: FinCategory, objects, under, squares,
+                    budget: Budget = UNBOUNDED, name="") -> ArrowCategory:
+    """The category of commuting squares of C between ``objects``, each
+    lying over the morphism ``under[x]`` of C: its morphisms x -> y are
+    the pairs (top, bottom) of ``squares(x, y)``, composed by pasting,
+    and its projections onto C send them to top and bottom.  Each square
+    costs one unit of ``budget``; the projections list the squares in
+    the order they were enumerated, x outer."""
     morphisms = []
     identities = {}
     sq_data = {}
     for f in objects:
         for g in objects:
-            for top, bottom in C.squares(f, g):
+            for top, bottom in squares(f, g):
+                budget.spend()
                 mid = arrow_mor_id(f, g, top, bottom)
                 morphisms.append((mid, f, g))
                 sq_data[mid] = (f, g, top, bottom)
-        identities[f] = arrow_mor_id(f, f, C.identities[C.dom[f]],
-                                     C.identities[C.cod[f]])
+        identities[f] = arrow_mor_id(f, f, C.identities[C.dom[under[f]]],
+                                     C.identities[C.cod[under[f]]])
     comp = {}
     by_dom = {}
     for mid, d, _ in morphisms:
@@ -578,10 +583,16 @@ def arrow_category(C: FinCategory) -> ArrowCategory:
         for nid in by_dom.get(c, ()):
             _, h, t2, b2 = sq_data[nid]
             comp[(nid, mid)] = arrow_mor_id(f, h, C.comp[(t2, t1)], C.comp[(b2, b1)])
-    cat = FinCategory(objects, morphisms, identities, comp,
-                      name=f"{C.name or 'C'}^2")
-    dom_proj = Functor(cat, C, {f: C.dom[f] for f in objects},
+    cat = FinCategory(objects, morphisms, identities, comp, name=name)
+    dom_proj = Functor(cat, C, {f: C.dom[under[f]] for f in objects},
                        {m: sq_data[m][2] for m, _, _ in morphisms}, name="dom")
-    cod_proj = Functor(cat, C, {f: C.cod[f] for f in objects},
+    cod_proj = Functor(cat, C, {f: C.cod[under[f]] for f in objects},
                        {m: sq_data[m][3] for m, _, _ in morphisms}, name="cod")
     return ArrowCategory(cat, dom_proj, cod_proj)
+
+
+def arrow_category(C: FinCategory) -> ArrowCategory:
+    """Objects are the morphisms of C; morphisms are commuting squares,
+    composed by pasting."""
+    return square_category(C, C.morphisms, {f: f for f in C.morphisms},
+                           C.squares, name=f"{C.name or 'C'}^2")

@@ -13,9 +13,10 @@ import pytest
 from fwfs import (UNBOUNDED, Budget, BudgetExceeded, FactorisationAssignment,
                   LiftingStructure, Report, build_finset, canonical_left,
                   check_cat_roster, check_double_category,
-                  check_factorisation_axiom, check_lifting_awfs,
+                  check_essential_image, check_factorisation_axiom, check_lifting_awfs,
                   check_pre_awfs, check_structure_morphism, cli,
-                  dbl_from_class, llp_verify, rlp_verify, sq, to_internal,
+                  dbl_from_class, llp_verify, rlp_double_category,
+                  rlp_verify, sq, to_internal,
                   transpose_l, transpose_r, unique_filler_lifting,
                   walking_arrow)
 from fwfs.dblcat import (ConcreteDoubleMap, check_concrete_double_map,
@@ -110,6 +111,26 @@ def test_represented_materialization_note(bundle):
     assert check.name == "materialization" and check.cases == 1
     assert check.witnesses == [
         {"note": "candidate budget exhausted, 1 cases checked"}]
+
+
+@pytest.mark.parametrize("check", [check_double_category,
+                                   check_essential_image])
+def test_only_the_given_budget_is_charged(bundle, check, monkeypatch):
+    """Enumerating the verticals of a represented double category
+    charges the checker's budget, not private ones."""
+    S, _ = bundle
+    charged = []
+    spend = Budget.spend
+
+    def spy(budget, n=1):
+        charged.append(budget)
+        return spend(budget, n)
+    monkeypatch.setattr(Budget, "spend", spy)
+    b = Budget(max_candidates=3)
+    report = check(rlp_double_category(S.left), b)
+    assert report.status == "inconclusive"
+    assert report.budget_used == b.used == 3
+    assert charged and all(x is b for x in charged)
 
 
 @pytest.mark.parametrize("side", ["both", "left-only", "right-only"])

@@ -4,6 +4,8 @@ reported as witnessed violations: JSON on stdout, exit 1."""
 import json
 import os
 
+import pytest
+
 from fwfs.cli import main
 from fwfs.io import load_bundle
 
@@ -96,3 +98,90 @@ def test_exhausted_budget_on_a_double_category_is_inconclusive(capsys,
     status = {c["name"]: c["status"] for c in doc["checks"]}
     assert status["m-associativity"] == "inconclusive"
     assert doc["budget_used"] == 2
+
+
+def double_corruptions(doc):
+    """Every single-entry corruption of a double-category file: each m
+    row's composite replaced by every other id of cat1, each m row
+    dropped, and each entry of the d, c and i maps deleted or replaced
+    by every other element of its target."""
+    cat0, cat1 = doc["cat0"], doc["cat1"]
+    cells = {"objects": (cat0["objects"], cat1["objects"]),
+             "morphisms": ([m["id"] for m in cat0["morphisms"]],
+                           [m["id"] for m in cat1["morphisms"]])}
+    ids1 = cells["objects"][1] + cells["morphisms"][1]
+    for idx, (w, v, wv) in enumerate(doc["m"]):
+        for x in ids1:
+            if x != wv:
+                yield f"m[{idx}] := {x}", {**doc, "m": [
+                    *doc["m"][:idx], [w, v, x], *doc["m"][idx + 1:]]}
+        yield f"m[{idx}] dropped", {**doc,
+                                    "m": doc["m"][:idx] + doc["m"][idx + 1:]}
+    for name, to_cat1 in (("d", False), ("c", False), ("i", True)):
+        for kind, targets in cells.items():
+            key = f"{kind[:-1]}_map" if kind == "objects" else "morphism_map"
+            table = doc[name][key]
+            for entry, image in table.items():
+                rest = {k: x for k, x in table.items() if k != entry}
+                yield f"{name}.{key}[{entry}] deleted", {
+                    **doc, name: {**doc[name], key: rest}}
+                for x in targets[to_cat1]:
+                    if x != image:
+                        yield f"{name}.{key}[{entry}] := {x}", {
+                            **doc, name: {**doc[name],
+                                          key: {**table, entry: x}}}
+
+
+def test_no_corruption_of_a_double_category_is_a_traceback(capsys, tmp_path):
+    """A corrupted double-category file ends as a report: JSON on stdout
+    and a violation, never a traceback."""
+    with open(os.path.join(DATA, "sq_walking_arrow_double.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "double.json"
+    seen = 0
+    for what, bad in double_corruptions(doc):
+        seen += 1
+        path.write_text(json.dumps(bad))
+        code, report = run_cli(capsys, "check", "double", str(path))
+        assert (code, report["status"]) == (1, "violation"), what
+    assert seen == 198
+
+
+def set_m(doc, w, v, wv):
+    return {**doc, "m": [[w, v, wv] if row[:2] == [w, v] else row
+                         for row in doc["m"]]}
+
+
+A, A0, A1 = "[a|a]:id0=>id1", "[id0|id1]:a=>a", "[id1|id1]:id1=>id1"
+CONSTANT_I = {"object_map": {"0": "id1", "1": "id1"},
+              "morphism_map": {"id0": A1, "id1": A1, "a": A1}}
+
+
+@pytest.mark.parametrize("corrupt, check, witness", [
+    (lambda doc: {**doc, "i": {**doc["i"], "object_map": {"1": "id1"}}},
+     "i-totality", {"kind": "object-unmapped", "object": "0"}),
+    (lambda doc: {**doc, "i": CONSTANT_I},
+     "identity-section", {"kind": "section-object", "object": "0"}),
+    (lambda doc: set_m(doc, A1, A0, A),
+     "m-totality", {"kind": "square-boundary", "beta": A1, "alpha": A0}),
+    (lambda doc: set_m(doc, "a", "id0", "id0"),
+     "m-totality", {"kind": "vertical-boundary", "w": "a", "v": "id0"}),
+    (lambda doc: {**doc, "m": doc["m"] + [["p", "q", "r"]]},
+     "m-totality", {"kind": "non-stackable-squares", "beta": "p",
+                    "alpha": "q"}),
+])
+def test_double_category_names_the_first_broken_law(capsys, tmp_path,
+                                                     corrupt, check, witness):
+    """The report ends at the first violated check that later checks
+    look tables up through, and names the entry."""
+    with open(os.path.join(DATA, "sq_walking_arrow_double.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(corrupt(doc)))
+    code, report = run_cli(capsys, "check", "double", str(path))
+    assert code == 1
+    last = report["checks"][-1]
+    assert (last["name"], last["status"]) == (check, "violation")
+    assert last["witnesses"][0] == witness
+    assert [c["name"] for c in report["checks"]
+            if c["status"] != "ok"] == [check]

@@ -1,10 +1,10 @@
 import pytest
 
-from fwfs import (ClosureError, build_finset, check_double_category,
-                  check_double_functor, dbl_from_class, sq, terminal_category,
-                  to_internal, walking_arrow)
-from fwfs.dblcat import (ConcreteDoubleMap, check_concrete_double_map,
-                         identity_double_map, inclusion_double_functor)
+from fwfs import (ClosureError, arrow_category, build_finset,
+                  check_double_category, dbl_from_class, sq,
+                  terminal_category, to_internal, walking_arrow)
+from fwfs.dblcat import (ConcreteDouble, ConcreteDoubleMap,
+                         check_concrete_double_map, identity_double_map)
 from fwfs.fincat import FinCategory
 
 
@@ -97,25 +97,93 @@ def test_corrupted_square_composite_flagged():
 
 def test_double_functor_identity_ok(finset2):
     D = dbl_from_class(finset2.category, finset2.epis)
-    F = inclusion_double_functor(D, D)
-    assert check_double_functor(F).ok
+    assert check_concrete_double_map(identity_double_map(D)).ok
 
 
 def test_inclusion_into_sq_ok(finset2):
     D = dbl_from_class(finset2.category, finset2.epis)
-    F = inclusion_double_functor(D, sq(finset2.category))
-    assert check_double_functor(F).ok
+    F = ConcreteDoubleMap(D, sq(finset2.category), {v: v for v in D.verticals()})
+    assert check_concrete_double_map(F).ok
+
+
+def violated(report):
+    return {c.name: c.witnesses for c in report.violations()}
 
 
 def test_broken_i_preservation_flagged():
-    W = walking_arrow()
-    S = sq(W)
-    F = inclusion_double_functor(S, S)
+    S = sq(walking_arrow())
+    F = identity_double_map(S)
     # send the identity vertical on 0 somewhere else
-    F.f1.obj_map["id0"] = "id1"
-    F.f1.mor_map["[id0|id0]:id0=>id0"] = "[id1|id1]:id1=>id1"
-    report = check_double_functor(F)
-    assert not report.ok
+    F.vertical_map["id0"] = "id1"
+    assert violated(check_concrete_double_map(F)) == {
+        "verticals": [{"kind": "over-base", "vertical": "id0"}]}
+
+
+def test_unmapped_and_foreign_verticals_flagged(finset2):
+    C = finset2.category
+    epis = dbl_from_class(C, finset2.epis)
+    monos = dbl_from_class(C, finset2.monos)
+    F = ConcreteDoubleMap(epis, monos, {v: v for v in epis.verticals()})
+    dropped = epis.verticals()[0]
+    [foreign] = [v for v in epis.verticals() if v not in finset2.monos]
+    del F.vertical_map[dropped]
+    assert violated(check_concrete_double_map(F)) == {"verticals": [
+        {"kind": "unmapped", "vertical": dropped},
+        {"kind": "not-a-vertical", "vertical": foreign}]}
+
+
+class TwoOverOne(ConcreteDouble):
+    """Z/2 over the terminal category: two verticals over its one
+    morphism, composed by addition, with every square."""
+
+    def __init__(self):
+        super().__init__(terminal_category(), name="Z/2")
+
+    def verticals(self):
+        return [0, 1]
+
+    def has_vertical(self, v):
+        return v in (0, 1)
+
+    def underlying(self, v):
+        return "id"
+
+    def label(self, v):
+        return str(v)
+
+    def identity_vertical(self, obj):
+        return 0
+
+    def compose(self, w, v):
+        return (w + v) % 2
+
+    def is_square(self, v, w, top, bottom):
+        return True
+
+
+def test_identity_vertical_not_preserved_flagged():
+    F = ConcreteDoubleMap(sq(terminal_category()), TwoOverOne(), {"id": 1})
+    assert violated(check_concrete_double_map(F)) == {
+        "identity-verticals": [{"object": "*"}],
+        "vertical-composition": [{"w": "id", "v": "id"}]}
+    assert check_concrete_double_map(
+        ConcreteDoubleMap(sq(terminal_category()), TwoOverOne(),
+                          {"id": 0})).ok
+
+
+@pytest.mark.parametrize("C", [terminal_category(), walking_arrow(),
+                               build_finset(2).category])
+def test_square_category_is_the_arrow_category(C):
+    """cat1, d and c of Sq(C) are C^2 and its projections, in the same
+    order."""
+    A, D = arrow_category(C), to_internal(sq(C))
+    for X, Y in ((A.category, D.cat1), (A.dom_proj, D.d), (A.cod_proj, D.c)):
+        for table in ("objects", "morphisms", "dom", "cod", "identities",
+                      "comp", "obj_map", "mor_map"):
+            x, y = getattr(X, table, None), getattr(Y, table, None)
+            if isinstance(x, dict):
+                x, y = list(x.items()), list(y.items())
+            assert x == y, table
 
 
 def test_concrete_map_checker(finset2):
