@@ -379,16 +379,16 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
         # m is functorial on 2x2 grids of squares
         inter = []
         n = 0
-        comp1 = D.cat1.comp
-        horiz = {}
-        stacked = {}  # f -> d(g) -> the g after f with that top, in order
-        for (g, f) in comp1:
-            horiz.setdefault(f, []).append(g)
-            stacked.setdefault(f, {}).setdefault(D.d.mor_map[g], []).append(g)
+        comp1, cod1 = D.cat1.comp, D.cat1.cod
+        # the squares out of each vertical, and out of it with each top
+        out, out_top = {}, {}
+        for g, v in D.cat1.dom.items():
+            out.setdefault(v, []).append(g)
+            out_top.setdefault((v, D.d.mor_map[g]), []).append(g)
         for (b, a), ba in D.m_sq.items():
             # horizontal successors of the stacked pair (b', a') with a' after a, b' after b
-            for a2 in horiz.get(a, ()):
-                for b2 in stacked[b].get(D.c.mor_map[a2], ()):
+            for a2 in out[cod1[a]]:
+                for b2 in out_top.get((cod1[b], D.c.mor_map[a2]), ()):
                     n += 1
                     budget.spend()
                     lhs = D.m_sq[(comp1[(b2, b)], comp1[(a2, a)])]

@@ -177,13 +177,14 @@ def test_square_category_is_the_arrow_category(C):
     """cat1, d and c of Sq(C) are C^2 and its projections, in the same
     order."""
     A, D = arrow_category(C), to_internal(sq(C))
-    for X, Y in ((A.category, D.cat1), (A.dom_proj, D.d), (A.cod_proj, D.c)):
-        for table in ("objects", "morphisms", "dom", "cod", "identities",
-                      "comp", "obj_map", "mor_map"):
-            x, y = getattr(X, table, None), getattr(Y, table, None)
-            if isinstance(x, dict):
-                x, y = list(x.items()), list(y.items())
-            assert x == y, table
+    assert A.category.objects == D.cat1.objects
+    assert A.category.morphisms == D.cat1.morphisms
+    for table in ("dom", "cod", "identities", "comp"):
+        assert list(getattr(A.category, table).items()) == \
+            list(getattr(D.cat1, table).items()), table
+    for F, G in ((A.dom_proj, D.d), (A.cod_proj, D.c)):
+        assert list(F.obj_map.items()) == list(G.obj_map.items())
+        assert list(F.mor_map.items()) == list(G.mor_map.items())
 
 
 def test_concrete_map_checker(finset2):
