@@ -13,12 +13,11 @@ import pytest
 from fwfs import (UNBOUNDED, Budget, BudgetExceeded, FactorisationAssignment,
                   LiftingStructure, Report, build_finset, canonical_left,
                   check_cat_roster, check_double_category,
-                  check_essential_image, check_factorisation_axiom, check_lifting_awfs,
-                  check_pre_awfs, check_structure_morphism, cli,
-                  dbl_from_class, llp_verify, rlp_double_category,
-                  rlp_verify, sq, to_internal,
-                  transpose_l, transpose_r, unique_filler_lifting,
-                  walking_arrow)
+                  check_essential_image, check_factorisation_axiom,
+                  check_lifting_awfs, check_pre_awfs, check_structure_morphism,
+                  cli, dbl_from_class, llp_verify, rlp_double_category,
+                  rlp_verify, sq, to_internal, transpose_l, transpose_r,
+                  unique_filler_lifting, walking_arrow)
 from fwfs.dblcat import (ConcreteDoubleMap, check_concrete_double_map,
                          identity_double_map)
 from fwfs.fincat import finset_image_factorisation
