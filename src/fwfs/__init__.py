@@ -13,19 +13,18 @@ from .dblcat import (ClassDouble, ClosureError, ConcreteDouble,
                      ConcreteDoubleMap, DoubleCategory, OppositeDouble,
                      check_double_category, dbl_from_class, sq, to_internal)
 from .lifting import (FactorisationAssignment, LiftingOperation,
-                      LiftingStructure, LlpVertical, NotOrthogonal,
-                      RlpVertical, SideMismatch, canonical_left,
+                      LiftingStructure, LlpDouble, LlpVertical, NotOrthogonal,
+                      RlpDouble, RlpVertical, SideMismatch, canonical_left,
                       check_factorisation_axiom,
                       check_lifting_awfs,
                       check_lifting_operation, check_pre_awfs,
                       check_structure_morphism, enumerate_fillers,
-                      llp_double_category, llp_verify, restrict,
-                      rlp_double_category, rlp_verify, rlp_vertical_compose,
+                      llp_verify, restrict, rlp_verify, rlp_vertical_compose,
                       transpose_l, transpose_r, unique_filler_lifting)
-from .awfs import (Algebra, Awfs, Coalgebra, FunctorialFactorisation,
-                   alg_double_category, awfs_from_lifting, check_awfs,
+from .awfs import (AlgDouble, Algebra, Awfs, Coalgebra, CoalgDouble,
+                   FunctorialFactorisation, awfs_from_lifting, check_awfs,
                    check_awfs_morphism, check_essential_image,
-                   check_functorial_factorisation, coalg_double_category,
+                   check_functorial_factorisation,
                    enumerate_algebras, enumerate_coalgebras,
                    factorisation_assignment, roundtrip_compare, sem)
 from .catlib import (CatRoster, CommaData, FillerError, SplitFibration,

@@ -4,16 +4,17 @@ and reconstruction of the whole package from a lifting structure that
 satisfies the lifting and factorisation axioms.
 
 Every law is a morphism equality in the base category, checked by table
-lookup over all morphisms and all commuting squares.  Functoriality of
+lookup over all morphisms and all commuting squares.  Reconstruction
+finds E, Δ and μ with the factorisation axiom's own search
+(:func:`fwfs.lifting.factorisations`).  Functoriality of
 E is checked on the pairs of squares of :func:`generating_square_pairs`,
 which imply all the others.
 
 An awfs (E, λ, ρ, Δ, μ) on C is the awfs (E^op, ρ, λ, μ, Δ) on C^op
 (:meth:`Awfs.dual`), whose coalgebras are the algebras of the original
 and whose comonad laws are its monad laws (Grandis–Tholen 2006,
-Bourke–Garner 2016).  So the algebra side, the monad laws, naturality
-of μ and the search for μ are the coalgebra and comonad code run on the
-dual.
+Bourke–Garner 2016).  So the algebra side, the monad laws and
+naturality of μ are the coalgebra and comonad code run on the dual.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from .dblcat import ClosureError, ConcreteDouble, OppositeDouble
 from .fincat import FinCategory, OppositeCategory
 from .lifting import (FactorisationAssignment, LiftingStructure,
-                      RuleLifting)
+                      RuleLifting, factorisations, lifting_problems)
 from .report import UNBOUNDED, Budget, Report, run_bounded
 
 
@@ -468,14 +469,6 @@ class AlgDouble(OppositeDouble):
         self.A = A
 
 
-def coalg_double_category(A: Awfs) -> CoalgDouble:
-    return CoalgDouble(A)
-
-
-def alg_double_category(A: Awfs) -> AlgDouble:
-    return AlgDouble(A)
-
-
 def sem(A: Awfs) -> LiftingStructure:
     """The semantics lifting structure (Coalg, Φ, Alg) with
     Φ((f,s),(g,p),(u,v)) = p ∘ E(u,v) ∘ s."""
@@ -514,34 +507,18 @@ class ReconstructionError(ValueError):
         self.witness = (what, key)
 
 
-def _comultiplications(S: LiftingStructure, FA: FactorisationAssignment,
-                       ff: FunctorialFactorisation, f):
-    """The candidates for Δf: the b: Ef → Eλf with b∘λf = λλf,
-    ρλf∘b = 1 and (1, b) an L-square from the left leg of f to that of
-    λf."""
-    L = S.left
-    C = L.base
-    comp = C.comp
-    lf = ff.lam[f]
-    one_mid = C.identities[ff.mid[f]]
-    return [b for b in C.hom(ff.mid[f], ff.mid[lf])
-            if comp[(b, lf)] == ff.lam[lf]
-            and comp[(ff.rho[lf], b)] == one_mid
-            and L.is_square(FA[f][0], FA[lf][0], C.identities[C.dom[f]], b)]
-
-
 def awfs_from_lifting(S: LiftingStructure, FA: FactorisationAssignment) -> Awfs:
-    """Rebuild (E, λ, ρ, Δ, μ) from the universal properties of the
-    factorisations.  Each component is found by exhaustive search and
-    must be unique; a zero/multiple-witness search raises, which cannot
-    happen if the factorisation axiom holds."""
+    """Rebuild (E, λ, ρ, Δ, μ) by the factorisation axiom's search
+    (:func:`factorisations`): Δf factors (1, 1): λf → λf with x = g_f;
+    on the dual, E(t, b) factors (λg∘t, b): f → ρg with x = h_g, and μf
+    factors (1, 1): ρf → ρf with x = h_f.  A search without exactly one
+    result raises, which cannot happen if the axiom holds."""
     L, R = S.left, S.right
     C = L.base
-    comp = C.comp
+    comp, ident = C.comp, C.identities
     mid, lam, rho = {}, {}, {}
     for f in C.morphisms:
-        g, m, h = FA[f]
-        mid[f] = m
+        g, mid[f], h = FA[f]
         lam[f] = L.underlying(g)
         rho[f] = R.underlying(h)
 
@@ -550,29 +527,25 @@ def awfs_from_lifting(S: LiftingStructure, FA: FactorisationAssignment) -> Awfs:
             raise ReconstructionError(what, key, cands)
         return cands[0]
 
+    dual = (S.dual(), FA.dual())
     sq_map = {}
     for f in C.morphisms:
-        gf, _, hf = FA[f]
+        search = factorisations(*dual, f)
         for g in C.morphisms:
-            gg, _, hg = FA[g]
+            hg = FA[g][2]
             for top, bottom in C.squares(f, g):
-                want_top = comp[(lam[g], top)]
-                want_bot = comp[(bottom, rho[f])]
-                cands = [a for a in C.hom(mid[f], mid[g])
-                         if comp[(a, lam[f])] == want_top
-                         and comp[(rho[g], a)] == want_bot
-                         and R.is_square(hf, hg, a, bottom)]
                 sq_map[(f, g, top, bottom)] = unique(
-                    cands, "E on squares", (f, g, top, bottom))
-    ff = FunctorialFactorisation(C, mid, lam, rho, sq_map)
+                    search(hg, rho[g], bottom, comp[(lam[g], top)]),
+                    "E on squares", (f, g, top, bottom))
 
-    # μ is Δ of the dual structure, searched for f by f in the same order
-    dual = (S.dual(), FA.dual(), ff.dual())
     delta, mu = {}, {}
     for f in C.morphisms:
-        delta[f] = unique(_comultiplications(S, FA, ff, f), "delta", f)
-        mu[f] = unique(_comultiplications(*dual, f), "mu", f)
-    return Awfs(ff, delta, mu)
+        g, _, h = FA[f]
+        delta[f] = unique(factorisations(S, FA, lam[f])(
+            g, lam[f], ident[C.dom[f]], ident[mid[f]]), "delta", f)
+        mu[f] = unique(factorisations(*dual, rho[f])(
+            h, rho[f], ident[C.cod[f]], ident[mid[f]]), "mu", f)
+    return Awfs(FunctorialFactorisation(C, mid, lam, rho, sq_map), delta, mu)
 
 
 def roundtrip_compare(S: LiftingStructure, A: Awfs) -> Report:
@@ -583,7 +556,6 @@ def roundtrip_compare(S: LiftingStructure, A: Awfs) -> Report:
     report = Report()
     T = sem(A)
     L, R = S.left, S.right
-    C = L.base
 
     def match(name, src, dst):
         table = {}
@@ -624,16 +596,14 @@ def roundtrip_compare(S: LiftingStructure, A: Awfs) -> Report:
     if lmap is None or rmap is None:
         return report
     bad, n = [], 0
-    for j in sorted(lmap, key=L.label):
-        for k in sorted(rmap, key=R.label):
-            for top, bottom in C.squares(L.underlying(j), R.underlying(k)):
-                n += 1
-                a = S.op.fill(j, k, top, bottom)
-                b = T.op.fill(lmap[j], rmap[k], top, bottom)
-                if a != b:
-                    bad.append({"j": L.label(j), "k": R.label(k),
-                                "square": [top, bottom], "original": a,
-                                "reconstructed": b})
+    for j, k, top, bottom in lifting_problems(L, R):
+        n += 1
+        a = S.op.fill(j, k, top, bottom)
+        b = T.op.fill(lmap[j], rmap[k], top, bottom)
+        if a != b:
+            bad.append({"j": L.label(j), "k": R.label(k),
+                        "square": [top, bottom], "original": a,
+                        "reconstructed": b})
     report.record("fillers", bad, cases=n)
     return report
 

@@ -300,7 +300,10 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
 
         def materialize():
             nonlocal D
-            D = to_internal(D, budget)
+            try:
+                D = to_internal(D, budget)
+            except ClosureError as e:  # a composite or identity is missing
+                report.add_violation("materialization", [{"error": str(e)}])
         run_bounded(report, "materialization", materialize, budget)
         if not report.ok:
             return report

@@ -53,17 +53,8 @@ class FinCategory:
         """Morphisms a -> b in lexicographic order."""
         return self._hom.get((a, b), [])
 
-    def compose(self, g, f):
-        return self.comp[(g, f)]
-
-    def identity(self, obj):
-        return self.identities[obj]
-
     def is_identity(self, m):
         return self.identities.get(self.dom[m]) == m
-
-    def composable(self, g, f):
-        return self.cod[f] == self.dom[g]
 
     def squares(self, f, g):
         """All commuting squares (top, bottom): f -> g, lexicographically.

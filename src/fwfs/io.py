@@ -49,6 +49,29 @@ def _require(data, file, path, required, optional=()):
             raise ParseError(file, path, f"missing key {key!r}")
 
 
+def _row(row, file, path, shape=None):
+    """``row`` if it is a JSON list of id strings, one per name in
+    ``shape`` (any number if None); a :class:`ParseError` otherwise."""
+    if not (isinstance(row, list) and (shape is None or len(row) == len(shape))
+            and all(isinstance(x, str) for x in row)):
+        expected = f"[{', '.join(shape)}]" if shape else "a list"
+        raise ParseError(file, path, f"expected {expected} of id strings")
+    return row
+
+
+def _fields(data, file, path, keys):
+    """The values under ``keys`` of an object, read as a row of ids."""
+    return _row([data[k] for k in keys], file, path, keys)
+
+
+def _id_map(data, file, path):
+    """A JSON object whose values are id strings, as a dict."""
+    if not isinstance(data, dict):
+        raise ParseError(file, path, f"expected an object, got {type(data).__name__}")
+    _row(list(data.values()), file, path)
+    return dict(data)
+
+
 def _resolve(base_file, rel):
     return os.path.normpath(os.path.join(os.path.dirname(base_file), rel))
 
@@ -62,16 +85,16 @@ def category_from_dict(data, file, path=""):
                                 "composition"), optional=("name",))
     morphisms = []
     for idx, m in enumerate(data["morphisms"]):
-        _require(m, file, f"{path}.morphisms[{idx}]", ("id", "dom", "cod"))
-        morphisms.append((m["id"], m["dom"], m["cod"]))
+        keys = ("id", "dom", "cod")
+        _require(m, file, f"{path}.morphisms[{idx}]", keys)
+        morphisms.append(_fields(m, file, f"{path}.morphisms[{idx}]", keys))
     comp = {}
     for idx, row in enumerate(data["composition"]):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise ParseError(file, f"{path}.composition[{idx}]",
-                             "expected [g, f, gf]")
-        comp[(row[0], row[1])] = row[2]
-    return FinCategory(data["objects"], morphisms, data["identities"], comp,
-                       name=data.get("name", ""))
+        g, f, gf = _row(row, file, f"{path}.composition[{idx}]", ("g", "f", "gf"))
+        comp[(g, f)] = gf
+    return FinCategory(_row(data["objects"], file, f"{path}.objects"), morphisms,
+                       _id_map(data["identities"], file, f"{path}.identities"),
+                       comp, name=data.get("name", ""))
 
 
 def load_category(file) -> FinCategory:
@@ -91,8 +114,10 @@ def category_to_dict(C: FinCategory) -> dict:
 def functor_from_dict(data, file, path, source, target, name=""):
     _require(data, file, path, ("object_map", "morphism_map"),
              optional=("source", "target", "name"))
-    return Functor(source, target, dict(data["object_map"]),
-                   dict(data["morphism_map"]), name=data.get("name", name))
+    return Functor(source, target,
+                   _id_map(data["object_map"], file, f"{path}.object_map"),
+                   _id_map(data["morphism_map"], file, f"{path}.morphism_map"),
+                   name=data.get("name", name))
 
 
 def load_functor(file) -> Functor:
@@ -120,9 +145,7 @@ def load_double_category(file) -> DoubleCategory:
     m_vert, m_sq = {}, {}
     verts = set(cat1.objects)
     for idx, row in enumerate(data["m"]):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise ParseError(file, f"m[{idx}]", "expected [w, v, wv]")
-        w, v, wv = row
+        w, v, wv = _row(row, file, f"m[{idx}]", ("w", "v", "wv"))
         # entries compose either two verticals or two squares
         if w in verts or v in verts:
             m_vert[(w, v)] = wv
@@ -138,10 +161,7 @@ def load_double_category(file) -> DoubleCategory:
 
 def _class_double(spec, C, file, path, name):
     _require(spec, file, path, ("class",))
-    members = spec["class"]
-    if not isinstance(members, list):
-        raise ParseError(file, f"{path}.class", "expected a list of morphism ids")
-    return dbl_from_class(C, members, name=name)
+    return dbl_from_class(C, _row(spec["class"], file, f"{path}.class"), name=name)
 
 
 def load_bundle(file):
@@ -190,10 +210,9 @@ def load_bundle(file):
         _require(op_spec, file, "operation", ("kind", "entries"))
         entries = {}
         for idx, row in enumerate(op_spec["entries"]):
-            if not (isinstance(row, list) and len(row) == 5):
-                raise ParseError(file, f"operation.entries[{idx}]",
-                                 "expected [j, k, top, bottom, diagonal]")
-            entries[tuple(row[:4])] = row[4]
+            *key, d = _row(row, file, f"operation.entries[{idx}]",
+                           ("j", "k", "top", "bottom", "diagonal"))
+            entries[tuple(key)] = d
         op = TableLifting(left, right, entries)
     S = LiftingStructure(left, op, right)
 
@@ -201,9 +220,10 @@ def load_bundle(file):
     if "factorisation" in data:
         assignment = {}
         for idx, row in enumerate(data["factorisation"]):
-            _require(row, file, f"factorisation[{idx}]",
-                     ("f", "left", "mid", "right"))
-            assignment[row["f"]] = (row["left"], row["mid"], row["right"])
+            keys = ("f", "left", "mid", "right")
+            _require(row, file, f"factorisation[{idx}]", keys)
+            f, *legs = _fields(row, file, f"factorisation[{idx}]", keys)
+            assignment[f] = tuple(legs)
         FA = FactorisationAssignment(assignment)
     return C, S, FA
 
@@ -218,19 +238,17 @@ def load_awfs(file) -> Awfs:
     C = load_category(_resolve(file, data["category"]))
     mid, lam, rho = {}, {}, {}
     for f, rec in data["E"].items():
-        _require(rec, file, f"E.{f}", ("mid", "lambda", "rho"))
-        mid[f] = rec["mid"]
-        lam[f] = rec["lambda"]
-        rho[f] = rec["rho"]
+        keys = ("mid", "lambda", "rho")
+        _require(rec, file, f"E.{f}", keys)
+        mid[f], lam[f], rho[f] = _fields(rec, file, f"E.{f}", keys)
     sq_map = {}
     for idx, row in enumerate(data["E_mor"]):
-        if not (isinstance(row, list) and len(row) == 5):
-            raise ParseError(file, f"E_mor[{idx}]",
-                             "expected [top, bottom, f, g, Ehk]")
-        top, bottom, f, g, e = row
+        top, bottom, f, g, e = _row(row, file, f"E_mor[{idx}]",
+                                    ("top", "bottom", "f", "g", "Ehk"))
         sq_map[(f, g, top, bottom)] = e
     ff = FunctorialFactorisation(C, mid, lam, rho, sq_map)
-    return Awfs(ff, dict(data["delta"]), dict(data["mu"]))
+    return Awfs(ff, _id_map(data["delta"], file, "delta"),
+                _id_map(data["mu"], file, "mu"))
 
 
 def awfs_to_dict(A: Awfs, category_path) -> dict:
@@ -264,45 +282,46 @@ def load_roster(file):
                                                   f"categories.{name}")
     functors = {}
     for name, spec in data["functors"].items():
-        _require(spec, file, f"functors.{name}",
+        path = f"functors.{name}"
+        _require(spec, file, path,
                  ("source", "target", "object_map", "morphism_map"))
+        _fields(spec, file, path, ("source", "target"))
         for side in ("source", "target"):
             if spec[side] not in categories:
-                raise ParseError(file, f"functors.{name}.{side}",
+                raise ParseError(file, f"{path}.{side}",
                                  f"unknown category {spec[side]!r}")
-        functors[name] = Functor(categories[spec["source"]],
-                                 categories[spec["target"]],
-                                 dict(spec["object_map"]),
-                                 dict(spec["morphism_map"]), name=name)
+        functors[name] = functor_from_dict(spec, file, path,
+                                           categories[spec["source"]],
+                                           categories[spec["target"]], name=name)
     composites = {}
     for idx, row in enumerate(data.get("composites", [])):
-        if not (isinstance(row, list) and len(row) == 3):
-            raise ParseError(file, f"composites[{idx}]", "expected [g, f, gf]")
-        composites[(row[0], row[1])] = row[2]
+        g, f, gf = _row(row, file, f"composites[{idx}]", ("g", "f", "gf"))
+        composites[(g, f)] = gf
     roster = build_roster(categories, functors, composites)
 
     reflections = {}
     for idx, spec in enumerate(data.get("reflections", [])):
-        _require(spec, file, f"reflections[{idx}]",
-                 ("u", "left_adjoint", "eta"))
-        u = roster.functors.get(spec["u"])
-        l = roster.functors.get(spec["left_adjoint"])
+        path = f"reflections[{idx}]"
+        _require(spec, file, path, ("u", "left_adjoint", "eta"))
+        u, l = (roster.functors.get(x) for x in
+                _fields(spec, file, path, ("u", "left_adjoint")))
         if u is None or l is None:
-            raise ParseError(file, f"reflections[{idx}]", "unknown functor")
-        eta = NatTransformation(None, None, dict(spec["eta"]), name="eta")
+            raise ParseError(file, path, "unknown functor")
+        eta = NatTransformation(None, None, _id_map(spec["eta"], file,
+                                                    f"{path}.eta"), name="eta")
         reflections[spec["u"]] = SplitReflection(u, l, eta, name=spec["u"])
     fibrations = {}
     for idx, spec in enumerate(data.get("fibrations", [])):
         _require(spec, file, f"fibrations[{idx}]", ("u", "theta"))
-        u = roster.functors.get(spec["u"])
+        u = roster.functors.get(_fields(spec, file, f"fibrations[{idx}]",
+                                        ("u",))[0])
         if u is None:
             raise ParseError(file, f"fibrations[{idx}].u", "unknown functor")
         theta = {}
         for jdx, row in enumerate(spec["theta"]):
-            if not (isinstance(row, list) and len(row) == 3):
-                raise ParseError(file, f"fibrations[{idx}].theta[{jdx}]",
-                                 "expected [a, h, lift]")
-            theta[(row[0], row[1])] = row[2]
+            a, h, lift = _row(row, file, f"fibrations[{idx}].theta[{jdx}]",
+                              ("a", "h", "lift"))
+            theta[(a, h)] = lift
         fibrations[spec["u"]] = SplitFibration(u, theta, name=spec["u"])
     return (SplRefDouble(roster, reflections),
             SplFibDouble(roster, fibrations))
@@ -318,6 +337,7 @@ def load_cat_square(file):
     data = _load_json(file)
     _require(data, file, "", ("roster", "reflection", "fibration",
                               "top", "bottom"))
+    _fields(data, file, "", ("reflection", "fibration", "top", "bottom"))
     L, R = load_roster(_resolve(file, data["roster"]))
     for key, side in (("reflection", L), ("fibration", R)):
         if data[key] not in side.members:

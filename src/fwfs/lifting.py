@@ -16,9 +16,11 @@ of C is the square (bottom, top): Vk -> Uj of C^op.  So the right-hand
 laws are the left-hand laws of the dual, LLP(R) is RLP(R^op) seen from
 C, and reports are written back in C's terms (see :func:`_dual_witnesses`).
 
+Lifting problems are walked in the one order of :func:`lifting_problems`.
+
 LLP/RLP are never materialized globally: they are oracle-backed
 :class:`~fwfs.dblcat.ConcreteDouble` realizations whose verticals are
-enumerated per underlying morphism under an explicit budget.
+enumerated per underlying morphism under the checker's budget.
 """
 
 from __future__ import annotations
@@ -73,6 +75,19 @@ def _dual_witnesses(name, witnesses):
 # lifting operations
 
 
+def lifting_problems(L: ConcreteDouble, R: ConcreteDouble):
+    """Every lifting problem of L against R, as (j, k, top, bottom) with
+    (top, bottom): Uj -> Vk a square of C, in the order of every table
+    and report over them: j by label, then k by label, then C's squares."""
+    squares = L.base.squares
+    rverts = [(k, R.underlying(k)) for k in sorted(R.verticals(), key=R.label)]
+    for j in sorted(L.verticals(), key=L.label):
+        lj = L.underlying(j)
+        for k, rk in rverts:
+            for top, bottom in squares(lj, rk):
+                yield j, k, top, bottom
+
+
 class SideMismatch(ValueError):
     """The sides of a lifting operation or structure do not match: they
     lie over different base categories, or the operation was built for
@@ -107,13 +122,8 @@ class LiftingOperation:
         """Materialize the full fill table keyed by labels; explicit
         sides only.  Used for equality comparisons in reports/tests."""
         L, R = self.left, self.right
-        out = {}
-        for j in L.verticals():
-            for k in R.verticals():
-                for top, bottom in L.base.squares(L.underlying(j), R.underlying(k)):
-                    out[(L.label(j), R.label(k), top, bottom)] = \
-                        self.fill(j, k, top, bottom)
-        return out
+        return {(L.label(j), R.label(k), top, bottom): self.fill(j, k, top, bottom)
+                for j, k, top, bottom in lifting_problems(L, R)}
 
 
 class TableLifting(LiftingOperation):
@@ -184,11 +194,8 @@ def unique_filler_lifting(left: ConcreteDouble, right: ConcreteDouble
     if right.base is not C and right.base.morphisms != C.morphisms:
         raise SideMismatch("left and right lie over different base categories")
     op = UniqueFillerLifting(left, right)
-    for j in left.verticals():
-        for k in right.verticals():
-            lf, rf = left.underlying(j), right.underlying(k)
-            for top, bottom in C.squares(lf, rf):
-                op.fill(j, k, top, bottom)  # raises NotOrthogonal on failure
+    for problem in lifting_problems(left, right):
+        op.fill(*problem)  # raises NotOrthogonal on failure
     return op
 
 
@@ -303,19 +310,15 @@ def check_lifting_operation(op: LiftingOperation,
 
     def validity():
         bad, n = [], 0
-        rverts = sorted(R.verticals(), key=R.label)
-        for j in sorted(L.verticals(), key=L.label):
-            lj = L.underlying(j)
-            for k in rverts:
-                rk = R.underlying(k)
-                for top, bottom in C.squares(lj, rk):
-                    n += 1
-                    budget.spend()
-                    d = op.fill(j, k, top, bottom)
-                    if (C.dom.get(d) != C.cod[lj] or C.cod.get(d) != C.dom[rk]
-                            or comp[(d, lj)] != top or comp[(rk, d)] != bottom):
-                        bad.append({"j": L.label(j), "k": R.label(k),
-                                    "square": [top, bottom], "diagonal": d})
+        for j, k, top, bottom in lifting_problems(L, R):
+            n += 1
+            budget.spend()
+            d = op.fill(j, k, top, bottom)
+            lj, rk = L.underlying(j), R.underlying(k)
+            if (C.dom.get(d) != C.cod[lj] or C.cod.get(d) != C.dom[rk]
+                    or comp[(d, lj)] != top or comp[(rk, d)] != bottom):
+                bad.append({"j": L.label(j), "k": R.label(k),
+                            "square": [top, bottom], "diagonal": d})
         report.record("filler-validity", bad, cases=n)
 
     run_bounded(report, "filler-validity", validity, budget)
@@ -444,26 +447,26 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
         report.add_violation("boundaries", [{"kind": "unknown-morphism", "f": f}])
         return report
 
+    op = _StoredFillers(L, v)
+
     def validity():
         bad, n = [], 0
-        for j in sorted(L.verticals(), key=L.label):
+        for j, k, top, bottom in lifting_problems(L, op.right):
+            n += 1
+            budget.spend()
+            d = op.fill(j, k, top, bottom)
             lj = L.underlying(j)
-            for top, bottom in C.squares(lj, f):
-                n += 1
-                budget.spend()
-                d = v.theta.get(v.key(L.label(j), top, bottom))
-                if d is None:
-                    bad.append({"kind": "missing", "j": L.label(j),
-                                "square": [top, bottom]})
-                elif (C.dom.get(d) != C.cod[lj] or C.cod.get(d) != C.dom[f]
-                        or comp[(d, lj)] != top or comp[(f, d)] != bottom):
-                    bad.append({"kind": "invalid", "j": L.label(j),
-                                "square": [top, bottom], "diagonal": d})
+            if d is None:
+                bad.append({"kind": "missing", "j": L.label(j),
+                            "square": [top, bottom]})
+            elif (C.dom.get(d) != C.cod[lj] or C.cod.get(d) != C.dom[f]
+                    or comp[(d, lj)] != top or comp[(f, d)] != bottom):
+                bad.append({"kind": "invalid", "j": L.label(j),
+                            "square": [top, bottom], "diagonal": d})
         report.record("filler-validity", bad, cases=n)
     run_bounded(report, "filler-validity", validity, budget)
     if not report.ok:
         return report
-    op = _StoredFillers(L, v)
     for name, law in (("horizontal-compatibility", _horizontal_left),
                       ("vertical-compatibility", _vertical_left)):
         def family():
@@ -535,10 +538,9 @@ class RlpDouble(ConcreteDouble):
 
     explicit = False
 
-    def __init__(self, L: ConcreteDouble, budget: Budget = UNBOUNDED, name=""):
+    def __init__(self, L: ConcreteDouble, name=""):
         super().__init__(L.base, name or f"RLP({L.name})")
         self.L = L
-        self.budget = budget
         self.vertical = _vertical_class(L.base)
         self._over = {}
         self._verified = {}
@@ -555,8 +557,7 @@ class RlpDouble(ConcreteDouble):
         cached = self._over.get(f)
         if cached is not None:
             return list(cached)
-        if budget is UNBOUNDED:
-            budget = Budget() if self.budget is UNBOUNDED else self.budget
+        budget = Budget() if budget is UNBOUNDED else budget
         C = self.base
         L = self.L
         keys = []
@@ -631,41 +632,29 @@ class RlpDouble(ConcreteDouble):
 class LlpDouble(OppositeDouble):
     """Oracle-backed LLP(R): RLP(R^op) seen from C."""
 
-    def __init__(self, R: ConcreteDouble, budget: Budget = UNBOUNDED, name=""):
-        super().__init__(RlpDouble(R.op(), budget), name or f"LLP({R.name})")
+    def __init__(self, R: ConcreteDouble, name=""):
+        super().__init__(RlpDouble(R.op()), name or f"LLP({R.name})")
         self.R = R
-
-
-def rlp_double_category(L: ConcreteDouble, budget: Budget = UNBOUNDED
-                        ) -> RlpDouble:
-    return RlpDouble(L, budget)
-
-
-def llp_double_category(R: ConcreteDouble, budget: Budget = UNBOUNDED
-                        ) -> LlpDouble:
-    return LlpDouble(R, budget)
 
 
 # ---------------------------------------------------------------------------
 # transposes and structure morphisms
 
 
-def transpose_r(S: LiftingStructure, budget: Budget = UNBOUNDED
-                ) -> ConcreteDoubleMap:
+def transpose_r(S: LiftingStructure) -> ConcreteDoubleMap:
     """R -> RLP(L): each right vertical k becomes its underlying morphism
     equipped with the operation's fillers against every left vertical."""
     L, R = S.left, S.right
     vmap = {k: _rlp_vertical(L, R.underlying(k), lambda j, top, bottom, k=k:
                              S.op.fill(j, k, top, bottom))
             for k in R.verticals()}
-    return ConcreteDoubleMap(R, RlpDouble(L, budget), vmap, name="phi_r")
+    return ConcreteDoubleMap(R, RlpDouble(L), vmap, name="phi_r")
 
 
-def transpose_l(S: LiftingStructure, budget: Budget = UNBOUNDED
-                ) -> ConcreteDoubleMap:
+def transpose_l(S: LiftingStructure) -> ConcreteDoubleMap:
     """L -> LLP(R): :func:`transpose_r` of the dual structure."""
-    phi = transpose_r(S.dual(), budget)
-    return ConcreteDoubleMap(S.left, LlpDouble(S.right, budget),
+    phi = transpose_r(S.dual())
+    return ConcreteDoubleMap(S.left, LlpDouble(S.right),
                              phi.vertical_map, name="phi_l")
 
 
@@ -694,23 +683,17 @@ def check_structure_morphism(S: LiftingStructure, S2: LiftingStructure,
     right, as tables over (L, R')."""
     report = Report()
     L, R2 = S.left, S2.right
-    C = L.base
 
     def agreement():
         bad, n = [], 0
-        for j in sorted(L.verticals(), key=L.label):
-            lj = L.underlying(j)
-            for k2 in sorted(R2.verticals(), key=R2.label):
-                rk = R2.underlying(k2)
-                for top, bottom in C.squares(lj, rk):
-                    n += 1
-                    budget.spend()
-                    lhs = S2.op.fill(F_l(j), k2, top, bottom)
-                    rhs = S.op.fill(j, F_r(k2), top, bottom)
-                    if lhs != rhs:
-                        bad.append({"j": L.label(j), "k'": R2.label(k2),
-                                    "square": [top, bottom],
-                                    "lhs": lhs, "rhs": rhs})
+        for j, k2, top, bottom in lifting_problems(L, R2):
+            n += 1
+            budget.spend()
+            lhs = S2.op.fill(F_l(j), k2, top, bottom)
+            rhs = S.op.fill(j, F_r(k2), top, bottom)
+            if lhs != rhs:
+                bad.append({"j": L.label(j), "k'": R2.label(k2),
+                            "square": [top, bottom], "lhs": lhs, "rhs": rhs})
         report.record("operation-agreement", bad, cases=n)
     return run_bounded(report, "operation-agreement", agreement, budget)
 
@@ -775,8 +758,8 @@ def check_pre_awfs(S: LiftingStructure, budget: Budget = UNBOUNDED) -> Report:
                                   "only-in-target": sorted(tv - sv)})
         report.record(f"{name}-squares", sqbad, cases=n)
 
-    side("phi_r", transpose_r(S, budget))
-    side("phi_l", transpose_l(S, budget))
+    side("phi_r", transpose_r(S))
+    side("phi_l", transpose_l(S))
     return report
 
 
@@ -831,37 +814,46 @@ def check_factorisation_assignment(S: LiftingStructure,
     return report
 
 
+def factorisations(S: LiftingStructure, FA: FactorisationAssignment, f):
+    """The factorisation axiom's search at f = ρf∘λf: a function of a left
+    vertical x, Ux and a square (a, b): Ux -> f returning, in hom order,
+    every b' with ρf∘b' = b, b'∘Ux = λf∘a and (a, b'): x -> g_f an
+    L-square.  Reconstruction reads E, Δ and μ off it (:mod:`fwfs.awfs`)."""
+    L = S.left
+    C = L.base
+    comp, cod, hom, is_square = C.comp, C.cod, C.hom, L.is_square
+    g, mid, h = FA[f]
+    lam, rho = L.underlying(g), S.right.underlying(h)
+
+    def search(x, ux, a, b):
+        top = comp[(lam, a)]
+        found = []
+        for b2 in hom(cod[ux], mid):
+            if (comp[(rho, b2)] == b and comp[(b2, ux)] == top
+                    and is_square(x, g, a, b2)):
+                found.append(b2)
+        return found
+    return search
+
+
 def _couniversal_left(S: LiftingStructure, FA: FactorisationAssignment,
                       budget):
     """The left side of :func:`check_factorisation_axiom`.  Returns
     (witnesses, cases)."""
-    L, R = S.left, S.right
+    L = S.left
     C = L.base
-    comp = C.comp
     bad, n = [], 0
-    lverts = sorted(L.verticals(), key=L.label)
+    lverts = [(x, L.underlying(x)) for x in sorted(L.verticals(), key=L.label)]
     for f in C.morphisms:
-        g, mid, h = FA[f]
-        rho = R.underlying(h)
-        ug = L.underlying(g)
-        for x in lverts:
-            ux = L.underlying(x)
+        search = factorisations(S, FA, f)
+        for x, ux in lverts:
             for a, b in C.squares(ux, f):
                 n += 1
                 budget.spend()
-                found = []
-                for b2 in C.hom(C.cod[ux], mid):
-                    if comp[(rho, b2)] != b:
-                        continue
-                    if comp[(b2, ux)] != comp[(ug, a)]:
-                        continue
-                    if L.is_square(x, g, a, b2):
-                        found.append(b2)
-                        if len(found) > 1:
-                            break
+                found = search(x, ux, a, b)
                 if len(found) != 1:
                     bad.append({"f": f, "x": L.label(x), "square": [a, b],
-                                "factorisations": found})
+                                "factorisations": found[:2]})
     return bad, n
 
 
@@ -920,11 +912,10 @@ def check_lifting_awfs(S: LiftingStructure, FA: FactorisationAssignment,
 # canonical structures
 
 
-def canonical_left(L: ConcreteDouble, budget: Budget = UNBOUNDED
-                   ) -> LiftingStructure:
+def canonical_left(L: ConcreteDouble) -> LiftingStructure:
     """(L, can, RLP(L)): the filler is read off the stored theta of the
     RLP vertical."""
-    rlp = RlpDouble(L, budget)
+    rlp = RlpDouble(L)
 
     def rule(j, k, top, bottom):
         return k.lift(L.label(j), top, bottom)
@@ -936,9 +927,9 @@ def canonical_morphism_from(S: LiftingStructure, budget: Budget = UNBOUNDED):
     """The morphism (1, phi_r): canonical_left(S.left) -> S with identity
     left component, certified by check_structure_morphism."""
     from .dblcat import identity_double_map
-    can = canonical_left(S.left, budget)
+    can = canonical_left(S.left)
     F_l = identity_double_map(S.left)
-    F_r = transpose_r(S, budget)
+    F_r = transpose_r(S)
     # retarget phi_r onto the canonical structure's own RLP side
     F_r = ConcreteDoubleMap(S.right, can.right, F_r.vertical_map, name="phi_r")
     report = check_structure_morphism(can, S, F_l, F_r, budget)

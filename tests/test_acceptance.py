@@ -12,8 +12,8 @@ from contextlib import contextmanager
 import conftest
 import pytest
 
-from fwfs import (Budget, FactorisationAssignment, FinCategory,
-                  LiftingStructure, alg_double_category, awfs_from_lifting,
+from fwfs import (AlgDouble, Budget, FactorisationAssignment, FinCategory,
+                  LiftingStructure, RlpDouble, awfs_from_lifting,
                   build_finset, check_awfs, check_category,
                   check_double_category, check_factorisation_axiom,
                   check_lifting_awfs, check_lifting_operation,
@@ -27,7 +27,7 @@ from fwfs.catlib import SplitFibration, canonical_filler
 from fwfs.dblcat import sq, to_internal
 from fwfs.fincat import (Functor, compose_functors, finset_image_factorisation,
                          functor_equal, identity_functor)
-from fwfs.lifting import TableLifting, rlp_double_category
+from fwfs.lifting import TableLifting
 
 
 @contextmanager
@@ -150,7 +150,7 @@ def test_5_algebras_are_the_injections(image_awfs2, finset2):
         assert set(structured) == finset2.monos
         assert all(len(v) == 1 for v in structured.values())
         # and the algebra double category has the same verticals as D(Mono)
-        U = alg_double_category(A)
+        U = AlgDouble(A)
         assert {U.underlying(v) for v in U.verticals()} == finset2.monos
 
 
@@ -159,8 +159,8 @@ def test_6_right_connectedness(image_awfs2, epi_mono2):
                       "the identity vertical at its codomain"):
         S, _ = epi_mono2
         C = S.left.base
-        for U in (alg_double_category(image_awfs2),
-                  rlp_double_category(S.left, Budget())):
+        for U in (AlgDouble(image_awfs2),
+                  RlpDouble(S.left)):
             for v in U.verticals():
                 f = U.underlying(v)
                 cod = C.cod[f]

@@ -1,10 +1,10 @@
 import pytest
 
 from fwfs import (Awfs, FunctorialFactorisation,
-                  alg_double_category, awfs_from_lifting, check_awfs,
+                  awfs_from_lifting, check_awfs,
                   check_awfs_morphism, check_double_category,
                   check_essential_image, check_functorial_factorisation,
-                  check_lifting_awfs, coalg_double_category,
+                  check_lifting_awfs,
                   enumerate_algebras, enumerate_coalgebras,
                   factorisation_assignment, roundtrip_compare, sem,
                   terminal_category, walking_arrow)
@@ -138,18 +138,18 @@ def test_structure_map_laws_checked(image_awfs2, finset2):
 
 
 def test_algebra_double_is_lawful(image_awfs2):
-    U = alg_double_category(image_awfs2)
+    U = AlgDouble(image_awfs2)
     assert check_double_category(U).ok
 
 
 def test_coalgebra_double_is_lawful(image_awfs2):
-    U = coalg_double_category(image_awfs2)
+    U = CoalgDouble(image_awfs2)
     assert check_double_category(U).ok
 
 
 def test_composite_algebra_is_the_unique_one(image_awfs2, finset2):
     A = image_awfs2
-    U = alg_double_category(A)
+    U = AlgDouble(A)
     C = finset2.category
     pairs = [(v, w) for v in U.verticals() for w in U.verticals()
              if U.composable(w, v)]
@@ -162,7 +162,7 @@ def test_composite_algebra_is_the_unique_one(image_awfs2, finset2):
 
 def test_composite_coalgebra_is_the_unique_one(image_awfs2, finset2):
     A = image_awfs2
-    U = coalg_double_category(A)
+    U = CoalgDouble(A)
     C = finset2.category
     pairs = [(v, w) for v in U.verticals() for w in U.verticals()
              if U.composable(w, v)]
@@ -259,12 +259,12 @@ def test_corrupted_awfs_morphism_flagged(image_awfs2, finset2):
 
 
 def test_algebra_double_in_essential_image(image_awfs2):
-    report = check_essential_image(alg_double_category(image_awfs2))
+    report = check_essential_image(AlgDouble(image_awfs2))
     assert report.ok
 
 
 def test_missing_connecting_square_flagged(image_awfs2):
-    U = alg_double_category(image_awfs2)
+    U = AlgDouble(image_awfs2)
     victim = next(v for v in U.verticals()
                   if not U.base.is_identity(v.g))
 
@@ -291,6 +291,21 @@ def test_coalgebra_composite_that_is_not_a_coalgebra_raises(image_awfs2):
     v = D.identity_vertical("2")
     with pytest.raises(ClosureError):
         D.compose(v, v)
+
+
+@pytest.mark.parametrize("double, what", [(CoalgDouble, "a coalgebra"),
+                                          (AlgDouble, "an algebra")])
+def test_composite_outside_the_double_is_a_materialization_violation(
+        image_awfs2, double, what):
+    A = image_awfs2
+    f = finset_id(2, 2, (0, 1))
+    B = Awfs(A.ff, A.delta, {**A.mu, f: finset_id(2, 2, (0, 0))})
+    report = check_double_category(double(B))
+    assert report.status == "violation"
+    [check] = report.checks
+    assert check.name == "materialization"
+    [witness] = check.witnesses
+    assert witness["error"].startswith(f"composite is not {what}: ")
 
 
 def test_algebra_composite_that_is_not_an_algebra_raises(image_awfs2):

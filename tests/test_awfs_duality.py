@@ -17,9 +17,10 @@ from fwfs import (Awfs, FactorisationAssignment, LiftingStructure,
                   unique_filler_lifting)
 from fwfs import io as io_mod
 from fwfs.awfs import (AlgDouble, Algebra, CoalgDouble, Coalgebra,
-                       ReconstructionError, _comultiplications, is_algebra)
+                       ReconstructionError, is_algebra)
 from fwfs.dblcat import ClosureError, ConcreteDouble, check_double_category
 from fwfs.fincat import finset_id, finset_image_factorisation
+from fwfs.lifting import factorisations
 
 from test_duality import delta_plus
 
@@ -552,19 +553,22 @@ def test_reconstruction_errors_match_oracle(structure):
 
 
 def test_mu_search_matches_oracle(structure):
-    """The search for μ on its own, for the lawful E and every corrupted
-    assignment.  On these structures each corruption that makes it fail
+    """The search for μ on its own, for the lawful assignment and every
+    corrupted one, with mid, λ and ρ read from it as awfs_from_lifting
+    reads them.  On these structures each corruption that makes it fail
     also makes the search for E fail, which comes first, so its failures
     are compared here."""
     S, FA = structure
-    A = awfs_from_lifting(S, FA)
-    ff = A.ff
+    C = S.left.base
     counts = set()
     for bad in [FA] + list(leg_corruptions(S, FA)):
-        dual = (S.dual(), bad.dual(), ff.dual())
-        for f in ff.C.morphisms:
-            got = _comultiplications(*dual, f)
-            assert got == oracle_mu_candidates(S, bad, ff.mid, ff.lam,
-                                               ff.rho, f)
+        mid = {f: bad[f][1] for f in C.morphisms}
+        lam = {f: S.left.underlying(bad[f][0]) for f in C.morphisms}
+        rho = {f: S.right.underlying(bad[f][2]) for f in C.morphisms}
+        for f in C.morphisms:
+            got = factorisations(S.dual(), bad.dual(), rho[f])(
+                bad[f][2], rho[f], C.identities[C.cod[f]],
+                C.identities[mid[f]])
+            assert got == oracle_mu_candidates(S, bad, mid, lam, rho, f)
             counts.add(len(got))
     assert 1 in counts and counts != {1}

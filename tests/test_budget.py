@@ -11,12 +11,12 @@ import sys
 import pytest
 
 from fwfs import (UNBOUNDED, Budget, BudgetExceeded, FactorisationAssignment,
-                  LiftingStructure, Report, build_finset, canonical_left,
-                  check_cat_roster, check_double_category,
+                  LiftingStructure, Report, RlpDouble, build_finset,
+                  canonical_left, check_cat_roster, check_double_category,
                   check_essential_image, check_factorisation_axiom,
                   check_lifting_awfs, check_pre_awfs, check_structure_morphism,
-                  cli, dbl_from_class, llp_verify, rlp_double_category,
-                  rlp_verify, sq, to_internal, transpose_l, transpose_r,
+                  cli, dbl_from_class, llp_verify, rlp_verify, sq,
+                  to_internal, transpose_l, transpose_r,
                   unique_filler_lifting, walking_arrow)
 from fwfs.dblcat import (ConcreteDoubleMap, check_concrete_double_map,
                          identity_double_map)
@@ -126,7 +126,7 @@ def test_only_the_given_budget_is_charged(bundle, check, monkeypatch):
         return spend(budget, n)
     monkeypatch.setattr(Budget, "spend", spy)
     b = Budget(max_candidates=3)
-    report = check(rlp_double_category(S.left), b)
+    report = check(RlpDouble(S.left), b)
     assert report.status == "inconclusive"
     assert report.budget_used == b.used == 3
     assert charged and all(x is b for x in charged)

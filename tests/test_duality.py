@@ -15,8 +15,9 @@ from fwfs import (Budget, FactorisationAssignment, FinCategory,
                   factorisation_assignment, llp_verify, sem, transpose_l,
                   unique_filler_lifting, walking_arrow)
 from fwfs.fincat import finset_image_factorisation, finset_values
-from fwfs.lifting import (LlpDouble, _couniversal_left, _dual_witnesses,
-                          check_factorisation_assignment,
+from fwfs.lifting import (LlpDouble, TableLifting, _couniversal_left,
+                          _dual_witnesses, check_factorisation_assignment,
+                          factorisations,
                           identity_llp_vertical, llp_vertical_compose)
 from fwfs.report import Report, run_bounded
 
@@ -58,6 +59,56 @@ def oracle_right_side(S, FA, budget=None):
                     bad.append({"f": f, "y": R.label(y), "square": [a, b],
                                 "factorisations": found})
     return bad, n
+
+
+def oracle_left_side(S, FA, budget=None):
+    """The couniversal-left law of check_factorisation_axiom with its own
+    search, which stops at a second factorisation: every square (a, b)
+    from a left vertical x into f factors as ρf∘b' through a unique
+    L-square (a, b'): x -> g_f.  Returns (witnesses, cases)."""
+    L, R = S.left, S.right
+    C = L.base
+    comp = C.comp
+    bad, n = [], 0
+    lverts = sorted(L.verticals(), key=L.label)
+    for f in C.morphisms:
+        g, mid, h = FA[f]
+        rho = R.underlying(h)
+        ug = L.underlying(g)
+        for x in lverts:
+            ux = L.underlying(x)
+            for a, b in C.squares(ux, f):
+                n += 1
+                if budget:
+                    budget.spend()
+                found = []
+                for b2 in C.hom(C.cod[ux], mid):
+                    if comp[(rho, b2)] != b:
+                        continue
+                    if comp[(b2, ux)] != comp[(ug, a)]:
+                        continue
+                    if L.is_square(x, g, a, b2):
+                        found.append(b2)
+                        if len(found) > 1:
+                            break
+                if len(found) != 1:
+                    bad.append({"f": f, "x": L.label(x), "square": [a, b],
+                                "factorisations": found})
+    return bad, n
+
+
+def oracle_left_only(S, FA, budget=None):
+    """check_factorisation_axiom(S, FA, "left-only", budget)."""
+    report = check_factorisation_assignment(S, FA)
+    if not report.ok:
+        return report
+    run_bounded(report, "couniversal-left",
+                lambda: report.record("couniversal-left",
+                                      *oracle_left_side(S, FA, budget)),
+                budget)
+    if budget:
+        report.budget_used = budget.used
+    return report
 
 
 def oracle_right_only(S, FA, budget=None):
@@ -326,6 +377,41 @@ def test_universal_right_matches_oracle_on_leg_corruptions(structure):
         report = check_factorisation_axiom(S, bad_fa, "right-only")
         assert report.to_dict() == oracle_right_only(S, bad_fa).to_dict()
     assert n > 0 and violations > 0
+
+
+def test_couniversal_left_matches_oracle_on_leg_corruptions(structure):
+    """The left-hand law runs the search that reconstruction shares; it
+    must find what a search of its own found, the first two
+    factorisations included."""
+    S, FA = structure
+    n = violations = 0
+    for bad_fa in [FA, *leg_corruptions(S, FA)]:
+        n += 1
+        want = oracle_left_side(S, bad_fa, Budget())
+        assert _couniversal_left(S, bad_fa, Budget()) == want
+        violations += bool(want[0])
+        report = check_factorisation_axiom(S, bad_fa, "left-only", Budget())
+        assert report.to_dict() == \
+            oracle_left_only(S, bad_fa, Budget()).to_dict()
+    assert n > 1 and violations > 0
+
+
+def test_couniversal_left_names_the_first_two_factorisations(finset2):
+    """Every map of FinSet≤2 but the identity of 0 factored through 2,
+    against all maps: the square (0>1:, 2>1:00): 0>2: -> 1>1:0 has four
+    factorisations, and the witnesses name the first two."""
+    C = finset2.category
+    D = dbl_from_class(C, C.morphisms)
+    S = LiftingStructure(D, TableLifting(D, D, {}), D)
+    FA = FactorisationAssignment({f: next(
+        (g, m, h) for m in ("2", C.dom[f]) for g in C.hom(C.dom[f], m)
+        for h in C.hom(m, C.cod[f]) if C.comp[(h, g)] == f)
+        for f in C.morphisms})
+    found = factorisations(S, FA, "1>1:0")("0>2:", "0>2:", "0>1:", "2>1:00")
+    assert found == ["2>2:00", "2>2:01", "2>2:10", "2>2:11"]
+    report = check_factorisation_axiom(S, FA, "left-only", Budget())
+    assert report.status == "violation"
+    assert report.to_dict() == oracle_left_only(S, FA, Budget()).to_dict()
 
 
 def test_dual_structure_is_the_same_structure(structure):

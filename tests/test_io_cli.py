@@ -253,6 +253,57 @@ def test_cli_parse_error_exit_64(capsys, tmp_path):
     assert code == 64 and out == "" and "error:" in err
 
 
+def string_positions(doc, at=()):
+    """The path of every string value in a JSON document."""
+    if isinstance(doc, str):
+        yield at
+    elif isinstance(doc, (dict, list)):
+        for key, x in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from string_positions(x, at + (key,))
+
+
+def replaced(doc, at, x):
+    """A copy of ``doc`` with the value at path ``at`` set to ``x``."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = at
+    inner = doc
+    for key in outer:
+        inner = inner[key]
+    inner[last] = x
+    return doc
+
+
+@pytest.mark.parametrize("name, kind, n", [
+    ("walking_arrow.json", "category", 25),
+    ("sq_walking_arrow_double.json", "double", 144),
+])
+def test_an_id_that_is_not_a_string_is_a_parse_error(capsys, tmp_path,
+                                                      name, kind, n):
+    """Every string of these files but a name is an id; a list in its
+    place exits 64 with the JSON path on stderr, never with a
+    traceback."""
+    with open(data(name)) as fh:
+        doc = json.load(fh)
+    path = tmp_path / name
+    positions = [at for at in string_positions(doc) if at[-1] != "name"]
+    assert len(positions) == n
+    for at in positions:
+        path.write_text(json.dumps(replaced(doc, at, ["x"])))
+        code, out, err = run_cli(capsys, "check", kind, str(path))
+        assert (code, out) == (64, ""), at
+        assert "id strings" in err, at
+
+
+def test_an_int_in_an_awfs_row_is_a_parse_error(capsys, tmp_path):
+    with open(data("image_awfs_finset2.json")) as fh:
+        doc = json.load(fh)
+    doc["category"] = data(doc["category"])
+    path = tmp_path / "awfs.json"
+    path.write_text(json.dumps(replaced(doc, ("E_mor", 0, 4), 0)))
+    code, out, err = run_cli(capsys, "check", "awfs", str(path))
+    assert (code, out) == (64, "") and "E_mor[0]" in err
+
+
 def test_cli_usage_error_exit_64(capsys):
     assert run_cli(capsys, "check", "nonsense", "x.json")[0] == 64
     assert run_cli(capsys, "frobnicate")[0] == 64

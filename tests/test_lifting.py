@@ -5,11 +5,12 @@ import sys
 import pytest
 
 from fwfs import (Budget, FactorisationAssignment, LiftingStructure,
-                  NotOrthogonal, RlpVertical, build_finset, canonical_left,
+                  LlpDouble, NotOrthogonal, RlpDouble, RlpVertical,
+                  build_finset, canonical_left,
                   check_factorisation_axiom, check_lifting_operation,
                   check_pre_awfs, check_structure_morphism, dbl_from_class,
-                  enumerate_fillers, llp_double_category, llp_verify, restrict,
-                  rlp_double_category, rlp_verify, rlp_vertical_compose,
+                  enumerate_fillers, llp_verify, restrict,
+                  rlp_verify, rlp_vertical_compose,
                   terminal_category, transpose_l, transpose_r,
                   unique_filler_lifting, walking_arrow)
 from fwfs.dblcat import ClassDouble, ConcreteDoubleMap, identity_double_map
@@ -57,8 +58,10 @@ def test_epi_mono_orthogonal_finset3():
 def test_mono_epi_not_orthogonal(finset2):
     left = dbl_from_class(finset2.category, finset2.monos)
     right = dbl_from_class(finset2.category, finset2.epis)
-    with pytest.raises(NotOrthogonal):
+    with pytest.raises(NotOrthogonal) as ei:
         unique_filler_lifting(left, right)
+    # the first lifting problem, in label order, without a unique filler
+    assert ei.value.witness == ('0>1:', '2>1:00', '0>2:', '1>1:0')
 
 
 def test_identities_against_everything(finset2):
@@ -103,7 +106,7 @@ def test_identity_rlp_vertical_ok(epi_mono2):
 
 def test_monos_carry_unique_rlp_structure(epi_mono2, finset2):
     S, _ = epi_mono2
-    R = rlp_double_category(S.left, Budget())
+    R = RlpDouble(S.left)
     for f in finset2.category.morphisms:
         n = len(R.verticals_over(f))
         assert n == (1 if f in finset2.monos else 0), (f, n)
@@ -111,7 +114,7 @@ def test_monos_carry_unique_rlp_structure(epi_mono2, finset2):
 
 def test_epis_carry_unique_llp_structure(epi_mono2, finset2):
     S, _ = epi_mono2
-    L = llp_double_category(S.right, Budget())
+    L = LlpDouble(S.right)
     for f in finset2.category.morphisms:
         n = len(L.verticals_over(f))
         assert n == (1 if f in finset2.epis else 0), (f, n)
@@ -119,7 +122,7 @@ def test_epis_carry_unique_llp_structure(epi_mono2, finset2):
 
 def test_mutated_theta_fails_verification(epi_mono2):
     S, _ = epi_mono2
-    R = rlp_double_category(S.left, Budget())
+    R = RlpDouble(S.left)
     v = R.verticals_over(finset_id(2, 2, (1, 0)))[0]
     C = S.left.base
     theta = dict(v.theta)
@@ -137,7 +140,7 @@ def test_mutated_theta_fails_verification(epi_mono2):
 def test_rlp_compose_units_and_uniqueness(epi_mono2, finset2):
     S, _ = epi_mono2
     L = S.left
-    R = rlp_double_category(L, Budget())
+    R = RlpDouble(L)
     m = R.verticals_over(finset_id(1, 2, (0,)))[0]
     # composing with identities returns the same table
     i_dom = identity_rlp_vertical(L, "1")
@@ -153,7 +156,7 @@ def test_rlp_compose_units_and_uniqueness(epi_mono2, finset2):
 def test_rlp_compose_associative(epi_mono2, finset2):
     S, _ = epi_mono2
     L = S.left
-    R = rlp_double_category(L, Budget())
+    R = RlpDouble(L)
     C = L.base
     monos = sorted(finset2.monos)
     triples = [(x, y, z) for x in monos for y in monos for z in monos
@@ -170,7 +173,7 @@ def test_rlp_compose_associative(epi_mono2, finset2):
 
 def test_rlp_right_connected(epi_mono2, finset2):
     S, _ = epi_mono2
-    R = rlp_double_category(S.left, Budget())
+    R = RlpDouble(S.left)
     C = S.left.base
     for f in sorted(finset2.monos):
         v = R.verticals_over(f)[0]
@@ -323,7 +326,7 @@ def test_mutated_factorisation_legs_flagged(epi_mono2, finset2):
 
 def test_canonical_left_operation(epi_mono2, finset2):
     S, _ = epi_mono2
-    can = canonical_left(S.left, Budget())
+    can = canonical_left(S.left)
     # evaluate on the canonical verticals over each mono and compare with
     # the unique fillers
     R = can.right
