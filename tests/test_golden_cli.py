@@ -47,15 +47,32 @@ DOUBLE_COMMANDS = {
                                       "check", "double", FILE],
 }
 
+COMMA_COMMANDS = {
+    "comma": ["comma", "--functor", FILE],
+    "comma-dot": ["comma", "--dot", "--functor", FILE],
+}
+
+ROSTER_COMMANDS = {
+    "check-cat-roster": ["check", "cat-roster", FILE],
+    "max-candidates-5-check-cat-roster": ["--max-candidates", "5",
+                                          "check", "cat-roster", FILE],
+}
+
 # each data file with the commands replayed on it: the lifting bundle and
 # the awfs bundle (every other data file is a usage error, exit 64 and
-# empty stdout, for all of COMMANDS), and two internal presentations of
-# double categories
+# empty stdout, for all of COMMANDS), two internal presentations of
+# double categories, and the catlib inputs: two functors to factor
+# through their comma category, a roster and a reflection/fibration
+# square
 BUNDLES = {
     "epi_mono_finset2.json": COMMANDS,
     "image_awfs_finset2.json": COMMANDS,
     "sq_walking_arrow_double.json": DOUBLE_COMMANDS,
     "epi_finset2_double.json": DOUBLE_COMMANDS,
+    "id_walking_arrow.json": COMMA_COMMANDS,
+    "pick0.json": {"comma": COMMA_COMMANDS["comma"]},
+    "comma_roster.json": ROSTER_COMMANDS,
+    "cat_square.json": {"cat-fill": ["cat-fill", "--square", FILE]},
 }
 
 
