@@ -1,6 +1,7 @@
-"""Split reflections, split fibrations, the comma-category
-factorisation, and the canonical filler algorithm, all at the scale of a
-finite roster of finite categories and functors.
+"""Split reflections, split fibrations, the factorisation of a functor
+f through its comma category B/f (a category of squares, built as C^2
+is), and the canonical filler algorithm, all at the scale of a finite
+roster of finite categories and functors.
 
 The ambient category of categories is never constructed: a
 :class:`CatRoster` is a finite base category whose objects name finite
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 from .dblcat import ClosureError, ConcreteDouble
 from .fincat import (FinCategory, Functor, NatTransformation,
                      check_category, check_functor, check_nat_transformation,
-                     compose_functors, functor_equal, identity_functor)
+                     compose_functors, functor_equal, identity_functor,
+                     square_category)
 from .lifting import LiftingOperation, RuleLifting, SideMismatch
 from .report import UNBOUNDED, Budget, Report, run_bounded
 
@@ -98,6 +100,13 @@ def check_split_reflection(S: SplitReflection) -> Report:
     return report
 
 
+def _cartesian_factors(F: SplitFibration, th, m, g) -> list:
+    """Every psi with th∘psi = m and u(psi) = g, in hom order."""
+    A = F.u.source
+    return [psi for psi in A.hom(A.dom[m], A.dom[th])
+            if A.comp[(th, psi)] == m and F.u.mor_map[psi] == g]
+
+
 def cartesian_factor(F: SplitFibration, a, h, m, g):
     """The unique psi with theta[(a,h)]∘psi = m and u(psi) = g; cached
     write-once.  Raises if zero or several candidates exist (signals an
@@ -106,11 +115,7 @@ def cartesian_factor(F: SplitFibration, a, h, m, g):
     cached = F._cart.get(key)
     if cached is not None:
         return cached
-    A = F.u.source
-    th = F.theta[(a, h)]
-    x = A.dom[th]
-    found = [psi for psi in A.hom(A.dom[m], x)
-             if A.comp[(th, psi)] == m and F.u.mor_map[psi] == g]
+    found = _cartesian_factors(F, F.theta[(a, h)], m, g)
     if len(found) != 1:
         raise ValueError(f"not a split fibration: {len(found)} factorisations "
                          f"at {key}")
@@ -155,7 +160,6 @@ def check_split_fibration(F: SplitFibration,
     def cartesian():
         cbad, n = [], 0
         for (a, h), th in F.theta.items():
-            x = A.dom[th]
             b = B.dom[h]
             for m in A.morphisms:
                 if A.cod[m] != a:
@@ -165,9 +169,7 @@ def check_split_fibration(F: SplitFibration,
                         continue
                     n += 1
                     budget.spend()
-                    found = [psi for psi in A.hom(A.dom[m], x)
-                             if A.comp[(th, psi)] == m
-                             and u.mor_map[psi] == g]
+                    found = _cartesian_factors(F, th, m, g)
                     if len(found) != 1:
                         cbad.append({"a": a, "h": h, "m": m, "g": g,
                                      "factorisations": found[:2]})
@@ -202,7 +204,7 @@ def comma_obj_id(alpha, a) -> str:
     return f"({alpha},{a})"
 
 
-def comma_mor_id(beta, m, src, dst) -> str:
+def comma_mor_id(src, dst, beta, m) -> str:
     return f"({beta},{m}):{src}->{dst}"
 
 
@@ -221,71 +223,39 @@ class CommaData:
 
 
 def comma_category(f: Functor) -> CommaData:
-    """Objects are pairs (alpha: b → f a, a); morphisms are pairs
-    (beta, m) with f(m)∘alpha = alpha'∘beta."""
+    """Objects are pairs (alpha: b → f a, a); morphisms are the squares
+    (beta, m) with f(m)∘alpha = alpha'∘beta, so B/f is a category of
+    squares and d_f and c_f are its projections onto B and A."""
     A, B = f.source, f.target
-    objects = []
-    obj_data = {}
-    for a in A.objects:
-        fa = f.obj_map[a]
-        for alpha in B.morphisms:
-            if B.cod[alpha] == fa:
-                oid = comma_obj_id(alpha, a)
-                objects.append(oid)
-                obj_data[oid] = (alpha, a)
-    morphisms = []
-    mor_data = {}
-    identities = {}
-    for src in objects:
-        alpha, a = obj_data[src]
-        for dst in objects:
-            alpha2, a2 = obj_data[dst]
-            for m in A.hom(a, a2):
-                fm_alpha = B.comp[(f.mor_map[m], alpha)]
-                for beta in B.hom(B.dom[alpha], B.dom[alpha2]):
-                    if B.comp[(alpha2, beta)] == fm_alpha:
-                        mid = comma_mor_id(beta, m, src, dst)
-                        morphisms.append((mid, src, dst))
-                        mor_data[mid] = (beta, m, src, dst)
-        identities[src] = comma_mor_id(B.identities[B.dom[alpha]],
-                                       A.identities[a], src, src)
-    comp = {}
-    by_dom = {}
-    for mid, d, _ in morphisms:
-        by_dom.setdefault(d, []).append(mid)
-    for mid, d, c in morphisms:
-        beta1, m1, src1, _ = mor_data[mid]
-        for nid in by_dom.get(c, ()):
-            beta2, m2, _, dst2 = mor_data[nid]
-            comp[(nid, mid)] = comma_mor_id(B.comp[(beta2, beta1)],
-                                            A.comp[(m2, m1)], src1, dst2)
-    comma = FinCategory(objects, morphisms, identities, comp,
-                        name=f"{B.name or 'B'}/{f.name or 'f'}")
+    obj_data = {comma_obj_id(alpha, a): (alpha, a) for a in A.objects
+                for alpha in B.morphisms if B.cod[alpha] == f.obj_map[a]}
 
+    def squares(x, y):
+        (alpha, a), (alpha2, a2) = obj_data[x], obj_data[y]
+        return [(beta, m) for m in A.hom(a, a2)
+                for beta in B.hom(B.dom[alpha], B.dom[alpha2])
+                if B.comp[(alpha2, beta)] == B.comp[(f.mor_map[m], alpha)]]
+
+    sqc = square_category(B, A, list(obj_data),
+                          {o: (B.dom[alpha], a)
+                           for o, (alpha, a) in obj_data.items()},
+                          squares, comma_mor_id, UNBOUNDED,
+                          f"{B.name or 'B'}/{f.name or 'f'}")
+    comma, d_u, c_f = sqc.category, sqc.dom_proj, sqc.cod_proj
+    d_u.name, c_f.name = "d_f", "c_f"
     i_obj = {a: comma_obj_id(B.identities[f.obj_map[a]], a) for a in A.objects}
-    i_mor = {m: comma_mor_id(f.mor_map[m], m, i_obj[A.dom[m]],
-                             i_obj[A.cod[m]])
+    i_mor = {m: comma_mor_id(i_obj[A.dom[m]], i_obj[A.cod[m]], f.mor_map[m], m)
              for m in A.morphisms}
     i_f = Functor(A, comma, i_obj, i_mor, name="i_f")
-    c_f = Functor(comma, A, {o: obj_data[o][1] for o in objects},
-                  {mid: mor_data[mid][1] for mid in mor_data}, name="c_f")
-    d_u = Functor(comma, B, {o: B.dom[obj_data[o][0]] for o in objects},
-                  {mid: mor_data[mid][0] for mid in mor_data}, name="d_f")
-    theta = {}
-    for o in objects:
-        alpha, a = obj_data[o]
-        b = B.dom[alpha]
-        for g in B.morphisms:
-            if B.cod[g] != b:
-                continue
-            src = comma_obj_id(B.comp[(alpha, g)], a)
-            theta[(o, g)] = comma_mor_id(g, A.identities[a], src, o)
+    theta = {(o, g): comma_mor_id(comma_obj_id(B.comp[(alpha, g)], a), o, g,
+                                  A.identities[a])
+             for o, (alpha, a) in obj_data.items()
+             for g in B.morphisms if B.cod[g] == B.dom[alpha]}
     d_f = SplitFibration(d_u, theta, name="d_f")
     eta = NatTransformation(
         identity_functor(comma), compose_functors(i_f, c_f),
-        {o: comma_mor_id(obj_data[o][0], A.identities[obj_data[o][1]], o,
-                         i_obj[obj_data[o][1]])
-         for o in objects},
+        {o: comma_mor_id(o, i_obj[a], alpha, A.identities[a])
+         for o, (alpha, a) in obj_data.items()},
         name="eta")
     reflection = SplitReflection(i_f, c_f, eta, name="c_f -| i_f")
     return CommaData(comma, i_f, c_f, d_f, eta, reflection, f)
@@ -364,6 +334,14 @@ class CatRoster:
     cat: FinCategory
 
 
+def _registered(functors: dict, F: Functor):
+    """The first name in ``functors`` of a functor with F's source,
+    target and tables, or None."""
+    return next((name for name, G in functors.items()
+                 if G.source is F.source and G.target is F.target
+                 and functor_equal(G, F)), None)
+
+
 def build_roster(categories: dict, functors: dict,
                  composites: dict | None = None) -> CatRoster:
     cat_name = {id(c): n for n, c in categories.items()}
@@ -377,12 +355,8 @@ def build_roster(categories: dict, functors: dict,
         morphisms.append((fname, src, dst))
     identities = {}
     for cname, C in categories.items():
-        iname = None
         ident = identity_functor(C)
-        for fname, F in functors.items():
-            if F.source is C and F.target is C and functor_equal(F, ident):
-                iname = fname
-                break
+        iname = _registered(functors, ident)
         if iname is None:
             iname = f"1_{cname}"
             if iname in functors:
@@ -391,19 +365,12 @@ def build_roster(categories: dict, functors: dict,
             morphisms.append((iname, cname, cname))
         identities[cname] = iname
     comp = dict(composites or {})
-    doms = {m: (s, t) for m, s, t in morphisms}
-    for fn, (fs, ft) in doms.items():
-        for gn, (gs, gt) in doms.items():
-            if ft != gs:
+    for fn, _, ft in morphisms:
+        for gn, gs, _ in morphisms:
+            if ft != gs or (gn, fn) in comp:
                 continue
-            if (gn, fn) in comp:
-                continue
-            gf = compose_functors(functors[gn], functors[fn])
-            match = None
-            for hn, (hs, ht) in doms.items():
-                if hs == fs and ht == gt and functor_equal(functors[hn], gf):
-                    match = hn
-                    break
+            match = _registered(functors, compose_functors(functors[gn],
+                                                           functors[fn]))
             if match is None:
                 raise ClosureError("roster not closed under composition",
                                    (gn, fn))
@@ -532,12 +499,10 @@ def cat_lifting_operation(L: SplRefDouble, R: SplFibDouble) -> LiftingOperation:
     def rule(j, k, top, bottom):
         S = L.members[j]
         F = R.members[k]
-        filler = canonical_filler(S, F, roster.functors[top],
-                                  roster.functors[bottom])
-        for name, G in roster.functors.items():
-            if (G.source is filler.source and G.target is filler.target
-                    and functor_equal(G, filler)):
-                return name
+        name = _registered(roster.functors, canonical_filler(
+            S, F, roster.functors[top], roster.functors[bottom]))
+        if name is not None:
+            return name
         raise ClosureError("canonical filler not registered",
                            (j, k, top, bottom))
 
@@ -618,48 +583,60 @@ def enumerate_functors(S: FinCategory, T: FinCategory, fixed_obj=None,
     return out
 
 
+def _along(F: Functor, G: Functor):
+    """The assignments G∘F⁻¹ on the image of F, on objects and on
+    morphisms: what a functor k with k∘F = G is fixed to there."""
+    return ({F.obj_map[x]: G.obj_map[x] for x in F.source.objects},
+            {F.mor_map[m]: G.mor_map[m] for m in F.source.morphisms})
+
+
+def _unique_factorisations(name, squares, budget: Budget) -> Report:
+    """Record ``name`` over the ``(witness, factorisations)`` pairs that
+    ``squares()`` yields: a square is a violation unless it has exactly
+    one factorisation."""
+    report = Report()
+
+    def body():
+        bad, n = [], 0
+        for witness, found in squares():
+            n += 1
+            if len(found) != 1:
+                bad.append({**witness, "factorisations": len(found)})
+        report.record(name, bad, cases=n)
+
+    return run_bounded(report, name, body, budget)
+
+
 def check_free_split_fibration(cd: CommaData, tests,
                                budget: Budget = UNBOUNDED) -> Report:
     """Universality of (i_f, 1): every square (r, s): f → v into a test
     split fibration v factors as (r', s∘·) through d_f via exactly one
     cleavage-preserving functor r': B/f → dom v with r'∘i_f = r and
     v∘r' = s∘d_f."""
-    report = Report()
     f = cd.f
-    A, B = f.source, f.target
+    theta = cd.d_f.theta
 
-    def body():
-        bad, n = [], 0
+    def squares():
         for V in tests:
             X, Y = V.u.source, V.u.target
-            for s in enumerate_functors(B, Y, budget=budget):
+            for s in enumerate_functors(f.target, Y, budget=budget):
                 s_f = compose_functors(s, f)
-                for r in enumerate_functors(A, X, budget=budget):
+                for r in enumerate_functors(f.source, X, budget=budget):
                     if not functor_equal(compose_functors(V.u, r), s_f):
                         continue
-                    n += 1
                     # r' is forced on the image of i_f; s∘d_f pins the rest
                     sd = compose_functors(s, cd.d_f.u)
-                    found = []
-                    fo = {cd.i_f.obj_map[a]: r.obj_map[a] for a in A.objects}
-                    fm = {cd.i_f.mor_map[m]: r.mor_map[m] for m in A.morphisms}
-                    for r2 in enumerate_functors(cd.comma, X, fixed_obj=fo,
-                                                 fixed_mor=fm, budget=budget):
-                        if not functor_equal(compose_functors(V.u, r2), sd):
-                            continue
-                        if not all(r2.mor_map[cd.d_f.theta[(o, g)]]
-                                   == V.theta[(r2.obj_map[o], sd.mor_map[
-                                       cd.d_f.theta[(o, g)]])]
-                                   for (o, g) in cd.d_f.theta):
-                            continue
-                        found.append(r2)
-                    if len(found) != 1:
-                        bad.append({"fibration": V.name,
-                                    "square": [r.name or "r", s.name or "s"],
-                                    "factorisations": len(found)})
-        report.record("free-fibration-universality", bad, cases=n)
+                    found = [r2 for r2 in enumerate_functors(
+                                 cd.comma, X, *_along(cd.i_f, r), budget=budget)
+                             if functor_equal(compose_functors(V.u, r2), sd)
+                             and all(r2.mor_map[th] == V.theta[
+                                 (r2.obj_map[o], sd.mor_map[th])]
+                                 for (o, _), th in theta.items())]
+                    yield ({"fibration": V.name,
+                            "square": [r.name or "r", s.name or "s"]}, found)
 
-    return run_bounded(report, "free-fibration-universality", body, budget)
+    return _unique_factorisations("free-fibration-universality", squares,
+                                  budget)
 
 
 def check_cofree_split_reflection(cd: CommaData, tests,
@@ -668,42 +645,27 @@ def check_cofree_split_reflection(cd: CommaData, tests,
     reflection x into f factors through i_f via exactly one
     unit-preserving functor b': cod x → B/f with d_f∘b' = b, b'∘u_x =
     i_f∘a and c_f∘b' = a∘l_x."""
-    report = Report()
     f = cd.f
-    A, B = f.source, f.target
 
-    def body():
-        bad, n = [], 0
+    def squares():
         for S in tests:
             P, Q = S.u.source, S.u.target
-            for a in enumerate_functors(P, A, budget=budget):
+            for a in enumerate_functors(P, f.source, budget=budget):
                 fa = compose_functors(f, a)
-                for b in enumerate_functors(Q, B, budget=budget):
+                for b in enumerate_functors(Q, f.target, budget=budget):
                     if not functor_equal(compose_functors(b, S.u), fa):
                         continue
-                    n += 1
                     ia = compose_functors(cd.i_f, a)
                     al = compose_functors(a, S.left_adjoint)
-                    fo = {S.u.obj_map[p]: ia.obj_map[p] for p in P.objects}
-                    fm = {S.u.mor_map[m]: ia.mor_map[m] for m in P.morphisms}
-                    found = []
-                    for b2 in enumerate_functors(Q, cd.comma, fixed_obj=fo,
-                                                 fixed_mor=fm, budget=budget):
-                        if not functor_equal(
-                                compose_functors(cd.d_f.u, b2), b):
-                            continue
-                        if not functor_equal(
-                                compose_functors(cd.c_f, b2), al):
-                            continue
-                        if not all(b2.mor_map[S.eta.components[q]]
-                                   == cd.eta.components[b2.obj_map[q]]
-                                   for q in Q.objects):
-                            continue
-                        found.append(b2)
-                    if len(found) != 1:
-                        bad.append({"reflection": S.name,
-                                    "square": [a.name or "a", b.name or "b"],
-                                    "factorisations": len(found)})
-        report.record("cofree-reflection-couniversality", bad, cases=n)
+                    found = [b2 for b2 in enumerate_functors(
+                                 Q, cd.comma, *_along(S.u, ia), budget=budget)
+                             if functor_equal(compose_functors(cd.d_f.u, b2), b)
+                             and functor_equal(compose_functors(cd.c_f, b2), al)
+                             and all(b2.mor_map[S.eta.components[q]]
+                                     == cd.eta.components[b2.obj_map[q]]
+                                     for q in Q.objects)]
+                    yield ({"reflection": S.name,
+                            "square": [a.name or "a", b.name or "b"]}, found)
 
-    return run_bounded(report, "cofree-reflection-couniversality", body, budget)
+    return _unique_factorisations("cofree-reflection-couniversality",
+                                  squares, budget)

@@ -38,11 +38,19 @@ def _emit_report(report: Report) -> int:
 
 
 def _budget(args) -> Budget:
-    max_candidates = args.max_candidates
-    if max_candidates is None:
-        env = os.environ.get("FWFS_BUDGET")
-        max_candidates = int(env) if env else 10**6
-    return Budget(max_candidates=max_candidates, max_seconds=args.max_seconds)
+    return Budget(max_candidates=args.max_candidates,
+                  max_seconds=args.max_seconds)
+
+
+def _positive(kind):
+    """An argparse type: a ``kind`` greater than 0."""
+    def parse(text):
+        value = kind(text)  # argparse reports "invalid int value" itself
+        if not value > 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _load_bundle_fa(path, need_fa):
@@ -200,9 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fwfs",
         description="Verify factorisation-system structure on finite "
                     "categories by exhaustive enumeration.")
-    p.add_argument("--max-candidates", type=int, default=None,
+    # a string default is parsed as the option is, so a bad FWFS_BUDGET
+    # is a usage error too
+    p.add_argument("--max-candidates", type=_positive(int),
+                   default=os.environ.get("FWFS_BUDGET") or 10**6,
                    help="enumeration budget (default: FWFS_BUDGET or 10^6)")
-    p.add_argument("--max-seconds", type=float, default=60.0,
+    p.add_argument("--max-seconds", type=_positive(float), default=60.0,
                    help="time budget per run (default: 60)")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -538,46 +538,51 @@ def arrow_mor_id(f, g, top, bottom) -> str:
 
 @dataclass
 class ArrowCategory:
-    """C^2 together with its domain/codomain projections onto C."""
+    """A category of squares together with its projections onto the
+    categories of its top and bottom edges: C^2 with its domain and
+    codomain projections onto C."""
 
     category: FinCategory
     dom_proj: Functor
     cod_proj: Functor
 
 
-def square_category(C: FinCategory, objects, under, squares,
-                    budget: Budget = UNBOUNDED, name="") -> ArrowCategory:
-    """The category of commuting squares of C between ``objects``, each
-    lying over the morphism ``under[x]`` of C: its morphisms x -> y are
-    the pairs (top, bottom) of ``squares(x, y)``, composed by pasting,
-    and its projections onto C send them to top and bottom.  Each square
+def square_category(top: FinCategory, bottom: FinCategory, objects, ends,
+                    squares, mor_id, budget: Budget, name) -> ArrowCategory:
+    """The category of squares between ``objects``, x with ends
+    ``ends[x]`` in ``top`` and ``bottom``: C^2, cat1 of a double category
+    and the comma category B/f.  Its morphisms x -> y are the pairs
+    (t, b) of ``squares(x, y)``, named ``mor_id(x, y, t, b)``, composed
+    componentwise, with the identities at x's ends as x's identity;
+    ``dom_proj`` and ``cod_proj`` send them to t and b.  Each square
     costs one unit of ``budget``; the projections list the squares in
     the order they were enumerated, x outer."""
     morphisms = []
     identities = {}
     sq_data = {}
-    for f in objects:
-        for g in objects:
-            for top, bottom in squares(f, g):
+    for x in objects:
+        for y in objects:
+            for t, b in squares(x, y):
                 budget.spend()
-                mid = arrow_mor_id(f, g, top, bottom)
-                morphisms.append((mid, f, g))
-                sq_data[mid] = (f, g, top, bottom)
-        identities[f] = arrow_mor_id(f, f, C.identities[C.dom[under[f]]],
-                                     C.identities[C.cod[under[f]]])
+                mid = mor_id(x, y, t, b)
+                morphisms.append((mid, x, y))
+                sq_data[mid] = (x, y, t, b)
+        s, e = ends[x]
+        identities[x] = mor_id(x, x, top.identities[s], bottom.identities[e])
     comp = {}
     by_dom = {}
     for mid, d, _ in morphisms:
         by_dom.setdefault(d, []).append(mid)
     for mid, d, c in morphisms:
-        f, g, t1, b1 = sq_data[mid]
+        x, _, t1, b1 = sq_data[mid]
         for nid in by_dom.get(c, ()):
-            _, h, t2, b2 = sq_data[nid]
-            comp[(nid, mid)] = arrow_mor_id(f, h, C.comp[(t2, t1)], C.comp[(b2, b1)])
+            _, z, t2, b2 = sq_data[nid]
+            comp[(nid, mid)] = mor_id(x, z, top.comp[(t2, t1)],
+                                      bottom.comp[(b2, b1)])
     cat = FinCategory(objects, morphisms, identities, comp, name=name)
-    dom_proj = Functor(cat, C, {f: C.dom[under[f]] for f in objects},
+    dom_proj = Functor(cat, top, {x: ends[x][0] for x in objects},
                        {m: sq_data[m][2] for m, _, _ in morphisms}, name="dom")
-    cod_proj = Functor(cat, C, {f: C.cod[under[f]] for f in objects},
+    cod_proj = Functor(cat, bottom, {x: ends[x][1] for x in objects},
                        {m: sq_data[m][3] for m, _, _ in morphisms}, name="cod")
     return ArrowCategory(cat, dom_proj, cod_proj)
 
@@ -585,5 +590,7 @@ def square_category(C: FinCategory, objects, under, squares,
 def arrow_category(C: FinCategory) -> ArrowCategory:
     """Objects are the morphisms of C; morphisms are commuting squares,
     composed by pasting."""
-    return square_category(C, C.morphisms, {f: f for f in C.morphisms},
-                           C.squares, name=f"{C.name or 'C'}^2")
+    return square_category(C, C, C.morphisms,
+                           {f: (C.dom[f], C.cod[f]) for f in C.morphisms},
+                           C.squares, arrow_mor_id, UNBOUNDED,
+                           f"{C.name or 'C'}^2")

@@ -72,8 +72,11 @@ def _id_map(data, file, path):
     return dict(data)
 
 
-def _resolve(base_file, rel):
-    return os.path.normpath(os.path.join(os.path.dirname(base_file), rel))
+def _resolve(file, path, rel):
+    """The file named by the string ``rel`` at ``path`` of ``file``."""
+    if not isinstance(rel, str):
+        raise ParseError(file, path, "expected a file path string")
+    return os.path.normpath(os.path.join(os.path.dirname(file), rel))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +127,8 @@ def load_functor(file) -> Functor:
     data = _load_json(file)
     _require(data, file, "", ("source", "target", "object_map",
                               "morphism_map"), optional=("name",))
-    source = load_category(_resolve(file, data["source"]))
-    target = load_category(_resolve(file, data["target"]))
+    source = load_category(_resolve(file, "source", data["source"]))
+    target = load_category(_resolve(file, "target", data["target"]))
     return functor_from_dict(data, file, "", source, target)
 
 
@@ -181,7 +184,7 @@ def load_bundle(file):
             if key in data:
                 raise ParseError(file, key,
                                  "not allowed with an awfs-backed operation")
-        A = load_awfs(_resolve(file, op_spec["awfs"]))
+        A = load_awfs(_resolve(file, "operation.awfs", op_spec["awfs"]))
         S = sem(A)
         return A.C, S, factorisation_assignment(A)
 
@@ -191,13 +194,14 @@ def load_bundle(file):
             if key in data:
                 raise ParseError(file, key,
                                  "not allowed with a roster-backed operation")
-        L, R = load_roster(_resolve(file, op_spec["roster"]))
+        L, R = load_roster(_resolve(file, "operation.roster",
+                                    op_spec["roster"]))
         op = cat_lifting_operation(L, R)
         return L.base, LiftingStructure(L, op, R), None
 
     if kind not in ("unique", "table"):
         raise ParseError(file, "operation.kind", f"unknown kind {kind!r}")
-    C = load_category(_resolve(file, data["category"]))
+    C = load_category(_resolve(file, "category", data["category"]))
     for key in ("left", "right"):
         if key not in data:
             raise ParseError(file, "", f"missing key {key!r}")
@@ -235,7 +239,7 @@ def load_bundle(file):
 def load_awfs(file) -> Awfs:
     data = _load_json(file)
     _require(data, file, "", ("category", "E", "E_mor", "delta", "mu"))
-    C = load_category(_resolve(file, data["category"]))
+    C = load_category(_resolve(file, "category", data["category"]))
     mid, lam, rho = {}, {}, {}
     for f, rec in data["E"].items():
         keys = ("mid", "lambda", "rho")
@@ -276,7 +280,8 @@ def load_roster(file):
     categories = {}
     for name, spec in data["categories"].items():
         if isinstance(spec, str):
-            categories[name] = load_category(_resolve(file, spec))
+            categories[name] = load_category(
+                _resolve(file, f"categories.{name}", spec))
         else:
             categories[name] = category_from_dict(spec, file,
                                                   f"categories.{name}")
@@ -338,7 +343,7 @@ def load_cat_square(file):
     _require(data, file, "", ("roster", "reflection", "fibration",
                               "top", "bottom"))
     _fields(data, file, "", ("reflection", "fibration", "top", "bottom"))
-    L, R = load_roster(_resolve(file, data["roster"]))
+    L, R = load_roster(_resolve(file, "roster", data["roster"]))
     for key, side in (("reflection", L), ("fibration", R)):
         if data[key] not in side.members:
             raise ParseError(file, key, f"not registered: {data[key]!r}")

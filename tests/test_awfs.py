@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from fwfs import (Awfs, FunctorialFactorisation,
@@ -10,9 +12,14 @@ from fwfs import (Awfs, FunctorialFactorisation,
                   terminal_category, walking_arrow)
 from fwfs.awfs import (AlgDouble, CoalgDouble, ReconstructionError,
                        is_algebra)
-from fwfs.dblcat import ClosureError
+from fwfs.dblcat import (ClosureError, check_concrete_double_map,
+                         identity_double_map)
 from fwfs.fincat import finset_id
+from fwfs.io import load_awfs
 from fwfs.lifting import FactorisationAssignment
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                    "demos", "data")
 
 
 def trivial_ff(C):
@@ -316,3 +323,50 @@ def test_algebra_composite_that_is_not_an_algebra_raises(image_awfs2):
     v = D.identity_vertical("2")
     with pytest.raises(ValueError):
         D.compose(v, v)
+
+
+def delta_mu_corruptions(A):
+    """Every change of one entry of Δ or μ to another morphism with the
+    same boundary."""
+    C = A.C
+    for which in ("delta", "mu"):
+        for f, m in getattr(A, which).items():
+            for m2 in C.hom(C.dom[m], C.cod[m]):
+                if m2 != m:
+                    tables = {"delta": dict(A.delta), "mu": dict(A.mu)}
+                    tables[which][f] = m2
+                    yield Awfs(A.ff, tables["delta"], tables["mu"])
+
+
+@pytest.mark.parametrize("double", [CoalgDouble, AlgDouble])
+def test_no_corruption_escapes_the_double_map_check(double):
+    """The identity double map of Coalg and of Alg is checked to a
+    report, with the verdict of check_double_category, on every
+    single-entry corruption of Δ and μ of the image awfs."""
+    A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
+    statuses = []
+    for B in delta_mu_corruptions(A):
+        D = double(B)
+        report = check_concrete_double_map(identity_double_map(D))
+        assert report.status == check_double_category(D).status
+        statuses.append(report.status)
+    assert len(statuses) == 12
+    assert statuses.count("violation") == 9
+
+
+def test_a_missing_composite_is_a_witnessed_violation():
+    A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
+    f = finset_id(2, 2, (0, 1))
+    B = Awfs(A.ff, A.delta, {**A.mu, f: finset_id(2, 2, (0, 0))})
+    report = check_concrete_double_map(identity_double_map(CoalgDouble(B)))
+    [check] = report.violations()
+    assert check.name == "vertical-composition"
+    label = f"{f};{f}"
+    assert check.witnesses[0] == {"w": label, "v": label, "error":
+                                  "composite is not a coalgebra: "
+                                  f"{(label, label)}"}
+    # the identity algebra on 2 is lost, so the map has no image for it
+    report = check_concrete_double_map(identity_double_map(AlgDouble(B)))
+    assert [c.name for c in report.violations()] == \
+        ["identity-verticals", "vertical-composition"]
+    assert report.violations()[0].witnesses == [{"object": "2"}]

@@ -22,6 +22,7 @@ from fwfs.dblcat import (ConcreteDoubleMap, check_concrete_double_map,
                          identity_double_map)
 from fwfs.fincat import finset_image_factorisation
 from fwfs.io import load_bundle, load_roster
+from fwfs.lifting import LlpDouble
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "..", "demos", "data")
@@ -130,6 +131,23 @@ def test_only_the_given_budget_is_charged(bundle, check, monkeypatch):
     assert report.status == "inconclusive"
     assert report.budget_used == b.used == 3
     assert charged and all(x is b for x in charged)
+
+
+@pytest.mark.parametrize("check", [check_double_category,
+                                   check_essential_image])
+@pytest.mark.parametrize("double", ["RLP(L)", "LLP(R)"])
+def test_a_lawful_represented_double_is_ok(bundle, check, double):
+    """The verticals over every morphism are enumerated in full, so a
+    represented double category that passes every check is ok, with or
+    without a budget of its own."""
+    S, _ = bundle
+    D = RlpDouble(S.left) if double == "RLP(L)" else LlpDouble(S.right)
+    b = Budget()
+    for budget, spent in ((UNBOUNDED, None), (b, b)):
+        report = check(D, budget)
+        assert report.status == "ok"
+        assert report.budget_used > 0
+        assert spent is None or report.budget_used == spent.used
 
 
 @pytest.mark.parametrize("side", ["both", "left-only", "right-only"])

@@ -1,17 +1,26 @@
+import os
+
 import pytest
 
+from fwfs import io as fwfs_io
 from fwfs import (Budget, ClosureError, build_roster, canonical_filler,
                   cat_lifting_operation, check_cat_roster, check_category,
                   check_cofree_split_reflection, check_free_split_fibration,
                   check_functor, check_split_fibration, check_split_reflection,
                   comma_category, enumerate_functors, terminal_category,
                   walking_arrow)
-from fwfs.catlib import (FillerError, SplFibDouble, SplitFibration,
-                         SplRefDouble, cartesian_factor, identity_fibration,
+from fwfs.catlib import (CommaData, FillerError, SplFibDouble,
+                         SplitFibration, SplitReflection, SplRefDouble,
+                         cartesian_factor, identity_fibration,
                          identity_reflection)
-from fwfs.fincat import (Functor, build_finset, compose_functors,
-                         functor_equal, identity_functor)
+from fwfs.fincat import (FinCategory, Functor, NatTransformation,
+                         build_finset, compose_functors, functor_equal,
+                         identity_functor)
 from fwfs.lifting import SideMismatch
+from fwfs.report import Report, run_bounded
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                    "demos", "data")
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +284,298 @@ def test_rosters_of_a_lifting_operation_must_agree(comma_roster, arrow_comma):
                          {"d": cd.d_f.u})
     with pytest.raises(SideMismatch):
         cat_lifting_operation(L, SplFibDouble(other, {"d": cd.d_f}))
+
+
+# --- oracles: the comma category, the universality loops and the roster
+# --- closure written out by hand, as they were before B/f came from
+# --- fincat.square_category
+
+
+def oracle_comma_category(f):
+    A, B = f.source, f.target
+
+    def obj_id(alpha, a):
+        return f"({alpha},{a})"
+
+    def mor_id(beta, m, src, dst):
+        return f"({beta},{m}):{src}->{dst}"
+
+    objects = []
+    obj_data = {}
+    for a in A.objects:
+        fa = f.obj_map[a]
+        for alpha in B.morphisms:
+            if B.cod[alpha] == fa:
+                oid = obj_id(alpha, a)
+                objects.append(oid)
+                obj_data[oid] = (alpha, a)
+    morphisms = []
+    mor_data = {}
+    identities = {}
+    for src in objects:
+        alpha, a = obj_data[src]
+        for dst in objects:
+            alpha2, a2 = obj_data[dst]
+            for m in A.hom(a, a2):
+                fm_alpha = B.comp[(f.mor_map[m], alpha)]
+                for beta in B.hom(B.dom[alpha], B.dom[alpha2]):
+                    if B.comp[(alpha2, beta)] == fm_alpha:
+                        mid = mor_id(beta, m, src, dst)
+                        morphisms.append((mid, src, dst))
+                        mor_data[mid] = (beta, m, src, dst)
+        identities[src] = mor_id(B.identities[B.dom[alpha]],
+                                 A.identities[a], src, src)
+    comp = {}
+    by_dom = {}
+    for mid, d, _ in morphisms:
+        by_dom.setdefault(d, []).append(mid)
+    for mid, d, c in morphisms:
+        beta1, m1, src1, _ = mor_data[mid]
+        for nid in by_dom.get(c, ()):
+            beta2, m2, _, dst2 = mor_data[nid]
+            comp[(nid, mid)] = mor_id(B.comp[(beta2, beta1)],
+                                      A.comp[(m2, m1)], src1, dst2)
+    comma = FinCategory(objects, morphisms, identities, comp,
+                        name=f"{B.name or 'B'}/{f.name or 'f'}")
+    i_obj = {a: obj_id(B.identities[f.obj_map[a]], a) for a in A.objects}
+    i_mor = {m: mor_id(f.mor_map[m], m, i_obj[A.dom[m]], i_obj[A.cod[m]])
+             for m in A.morphisms}
+    i_f = Functor(A, comma, i_obj, i_mor, name="i_f")
+    c_f = Functor(comma, A, {o: obj_data[o][1] for o in objects},
+                  {mid: mor_data[mid][1] for mid in mor_data}, name="c_f")
+    d_u = Functor(comma, B, {o: B.dom[obj_data[o][0]] for o in objects},
+                  {mid: mor_data[mid][0] for mid in mor_data}, name="d_f")
+    theta = {}
+    for o in objects:
+        alpha, a = obj_data[o]
+        for g in B.morphisms:
+            if B.cod[g] == B.dom[alpha]:
+                src = obj_id(B.comp[(alpha, g)], a)
+                theta[(o, g)] = mor_id(g, A.identities[a], src, o)
+    d_f = SplitFibration(d_u, theta, name="d_f")
+    eta = NatTransformation(
+        identity_functor(comma), compose_functors(i_f, c_f),
+        {o: mor_id(obj_data[o][0], A.identities[obj_data[o][1]], o,
+                   i_obj[obj_data[o][1]])
+         for o in objects},
+        name="eta")
+    reflection = SplitReflection(i_f, c_f, eta, name="c_f -| i_f")
+    return CommaData(comma, i_f, c_f, d_f, eta, reflection, f)
+
+
+def oracle_free(cd, tests, budget):
+    report = Report()
+    f = cd.f
+    A, B = f.source, f.target
+
+    def body():
+        bad, n = [], 0
+        for V in tests:
+            X, Y = V.u.source, V.u.target
+            for s in enumerate_functors(B, Y, budget=budget):
+                s_f = compose_functors(s, f)
+                for r in enumerate_functors(A, X, budget=budget):
+                    if not functor_equal(compose_functors(V.u, r), s_f):
+                        continue
+                    n += 1
+                    sd = compose_functors(s, cd.d_f.u)
+                    found = []
+                    fo = {cd.i_f.obj_map[a]: r.obj_map[a] for a in A.objects}
+                    fm = {cd.i_f.mor_map[m]: r.mor_map[m] for m in A.morphisms}
+                    for r2 in enumerate_functors(cd.comma, X, fixed_obj=fo,
+                                                 fixed_mor=fm, budget=budget):
+                        if not functor_equal(compose_functors(V.u, r2), sd):
+                            continue
+                        if not all(r2.mor_map[cd.d_f.theta[(o, g)]]
+                                   == V.theta[(r2.obj_map[o], sd.mor_map[
+                                       cd.d_f.theta[(o, g)]])]
+                                   for (o, g) in cd.d_f.theta):
+                            continue
+                        found.append(r2)
+                    if len(found) != 1:
+                        bad.append({"fibration": V.name,
+                                    "square": [r.name or "r", s.name or "s"],
+                                    "factorisations": len(found)})
+        report.record("free-fibration-universality", bad, cases=n)
+
+    return run_bounded(report, "free-fibration-universality", body, budget)
+
+
+def oracle_cofree(cd, tests, budget):
+    report = Report()
+    f = cd.f
+    A, B = f.source, f.target
+
+    def body():
+        bad, n = [], 0
+        for S in tests:
+            P, Q = S.u.source, S.u.target
+            for a in enumerate_functors(P, A, budget=budget):
+                fa = compose_functors(f, a)
+                for b in enumerate_functors(Q, B, budget=budget):
+                    if not functor_equal(compose_functors(b, S.u), fa):
+                        continue
+                    n += 1
+                    ia = compose_functors(cd.i_f, a)
+                    al = compose_functors(a, S.left_adjoint)
+                    fo = {S.u.obj_map[p]: ia.obj_map[p] for p in P.objects}
+                    fm = {S.u.mor_map[m]: ia.mor_map[m] for m in P.morphisms}
+                    found = []
+                    for b2 in enumerate_functors(Q, cd.comma, fixed_obj=fo,
+                                                 fixed_mor=fm, budget=budget):
+                        if not functor_equal(
+                                compose_functors(cd.d_f.u, b2), b):
+                            continue
+                        if not functor_equal(
+                                compose_functors(cd.c_f, b2), al):
+                            continue
+                        if not all(b2.mor_map[S.eta.components[q]]
+                                   == cd.eta.components[b2.obj_map[q]]
+                                   for q in Q.objects):
+                            continue
+                        found.append(b2)
+                    if len(found) != 1:
+                        bad.append({"reflection": S.name,
+                                    "square": [a.name or "a", b.name or "b"],
+                                    "factorisations": len(found)})
+        report.record("cofree-reflection-couniversality", bad, cases=n)
+
+    return run_bounded(report, "cofree-reflection-couniversality", body,
+                       budget)
+
+
+def oracle_roster_composites(functors, morphisms):
+    """The composition table of a roster base, each composite found by
+    scanning the morphisms for an equal functor."""
+    comp = {}
+    doms = {m: (s, t) for m, s, t in morphisms}
+    for fn, (fs, ft) in doms.items():
+        for gn, (gs, gt) in doms.items():
+            if ft != gs:
+                continue
+            gf = compose_functors(functors[gn], functors[fn])
+            for hn, (hs, ht) in doms.items():
+                if hs == fs and ht == gt and functor_equal(functors[hn], gf):
+                    comp[(gn, fn)] = hn
+                    break
+    return comp
+
+
+def chain2():
+    objects = ["0", "1", "2"]
+    return FinCategory(
+        objects, [(f"{i}<{j}", i, j) for i in objects for j in objects
+                  if i <= j],
+        {i: f"{i}<{i}" for i in objects},
+        {(f"{j}<{k}", f"{i}<{j}"): f"{i}<{k}" for i in objects
+         for j in objects for k in objects if i <= j <= k}, name="[2]")
+
+
+def pick0():
+    return Functor(terminal_category(), walking_arrow(), {"*": "0"},
+                   {"id": "id0"}, name="pick0")
+
+
+COMMA_FUNCTORS = {
+    "id(2)": lambda: identity_functor(walking_arrow(), name="idW"),
+    "id(1)": lambda: identity_functor(terminal_category(), name="id1"),
+    "pick0": pick0,
+    "id(FinSet<=2)": lambda: identity_functor(build_finset(2).category,
+                                              name="id"),
+    "2->1": lambda: Functor(walking_arrow(), terminal_category(),
+                            {"0": "*", "1": "*"},
+                            {"id0": "id", "id1": "id", "a": "id"}, name="!"),
+}
+
+
+def same_tables(K, L):
+    assert (K.name, K.objects, K.morphisms) == (L.name, L.objects,
+                                                L.morphisms)
+    for table in ("dom", "cod", "identities", "comp"):
+        assert list(getattr(K, table).items()) == \
+            list(getattr(L, table).items()), table
+
+
+def same_functor(F, G):
+    assert F.name == G.name
+    assert list(F.obj_map.items()) == list(G.obj_map.items())
+    assert list(F.mor_map.items()) == list(G.mor_map.items())
+
+
+@pytest.mark.parametrize("functor", COMMA_FUNCTORS)
+def test_comma_category_matches_its_oracle(functor):
+    f = COMMA_FUNCTORS[functor]()
+    got, want = comma_category(f), oracle_comma_category(f)
+    same_tables(got.comma, want.comma)
+    for F, G in ((got.i_f, want.i_f), (got.c_f, want.c_f),
+                 (got.d_f.u, want.d_f.u), (got.reflection.left_adjoint,
+                                           want.reflection.left_adjoint)):
+        same_functor(F, G)
+    assert list(got.d_f.theta.items()) == list(want.d_f.theta.items())
+    assert got.eta.name == want.eta.name
+    assert list(got.eta.components.items()) == \
+        list(want.eta.components.items())
+    assert got.reflection.name == want.reflection.name
+
+
+UNIVERSALITY_INSTANCES = {
+    "arrow": lambda: identity_functor(walking_arrow(), name="idW"),
+    "[2]": lambda: identity_functor(chain2(), name="id2"),
+    "pick0": pick0,
+}
+
+
+def same_report(check, oracle, *args):
+    got_budget, want_budget = Budget(), Budget()
+    got = check(*args, got_budget)
+    want = oracle(*args, want_budget)
+    assert got.to_json() == want.to_json()
+    assert got_budget.used == want_budget.used
+    return got
+
+
+@pytest.mark.parametrize("instance", UNIVERSALITY_INSTANCES)
+def test_universality_checks_match_their_oracles(instance):
+    f = UNIVERSALITY_INSTANCES[instance]()
+    cd = comma_category(f)
+    fibs = [identity_fibration(f.target, name="1"), cd.d_f]
+    assert same_report(check_free_split_fibration, oracle_free, cd, fibs).ok
+    refls = [identity_reflection(f.source, name="1"), cd.reflection]
+    assert same_report(check_cofree_split_reflection, oracle_cofree, cd,
+                       refls).ok
+
+
+def test_free_check_matches_its_oracle_on_every_changed_lift(arrow_comma):
+    """Each chosen lift of d_f replaced by another comma morphism into
+    the same object (no two comma morphisms are parallel here), and the
+    result used as the test fibration."""
+    cd = arrow_comma
+    K = cd.comma
+    verdicts = []
+    for key, lift in cd.d_f.theta.items():
+        for other in K.morphisms:
+            if K.cod[other] == K.cod[lift] and other != lift:
+                V = SplitFibration(cd.d_f.u, {**cd.d_f.theta, key: other},
+                                   name="V")
+                verdicts.append(same_report(check_free_split_fibration,
+                                            oracle_free, cd, [V]).status)
+    assert verdicts == ["violation"] * 5
+
+
+def test_roster_base_matches_its_oracle(monkeypatch):
+    built = []
+    build = fwfs_io.build_roster
+
+    def spy(categories, functors, composites):
+        built.append((functors, composites))
+        return build(categories, functors, composites)
+    monkeypatch.setattr(fwfs_io, "build_roster", spy)
+    L, _ = fwfs_io.load_roster(os.path.join(DATA, "comma_roster.json"))
+    [(functors, composites)] = built
+    base = L.roster.cat
+    assert list(L.roster.functors)[:len(functors)] == list(functors)
+    assert not composites
+    morphisms = [(m, base.dom[m], base.cod[m]) for m in L.roster.functors]
+    assert list(base.identities.items()) == [("K", "1_K"), ("W", "1_W")]
+    assert list(base.comp.items()) == list(oracle_roster_composites(
+        L.roster.functors, morphisms).items())

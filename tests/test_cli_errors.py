@@ -1,5 +1,6 @@
 """Inputs that used to escape the CLI as a traceback with exit 1 are
-reported as witnessed violations: JSON on stdout, exit 1."""
+reported as witnessed violations (JSON on stdout, exit 1) or, when the
+input itself is malformed, as usage errors (exit 64)."""
 
 import json
 import os
@@ -185,3 +186,66 @@ def test_double_category_names_the_first_broken_law(capsys, tmp_path,
     assert last["witnesses"][0] == witness
     assert [c["name"] for c in report["checks"]
             if c["status"] != "ok"] == [check]
+
+
+def data_doc(name, **changes):
+    """A demo data file with absolute paths and ``changes`` applied."""
+    with open(os.path.join(DATA, name)) as fh:
+        doc = json.load(fh)
+    for key in ("category", "source", "target", "roster"):
+        if isinstance(doc.get(key), str):
+            doc[key] = os.path.join(DATA, doc[key])
+    return {**doc, **changes}
+
+
+@pytest.mark.parametrize("argv, doc, path", [
+    (["check", "lifting-op"],
+     data_doc("epi_mono_finset2.json", category=["x"]), "category"),
+    (["check", "awfs"],
+     data_doc("image_awfs_finset2.json", category=["x"]), "category"),
+    (["check", "lifting-op"],
+     {"category": "finset2.json", "operation": {"kind": "awfs",
+                                                "awfs": ["x"]}},
+     "operation.awfs"),
+    (["check", "lifting-op"],
+     {"category": "finset2.json", "operation": {"kind": "cat",
+                                                "roster": 1}},
+     "operation.roster"),
+    (["cat-fill", "--square"], data_doc("cat_square.json", roster=None),
+     "roster"),
+    (["comma", "--functor"], data_doc("id_walking_arrow.json", source=["x"]),
+     "source"),
+    (["comma", "--functor"], data_doc("id_walking_arrow.json", target={}),
+     "target"),
+], ids=["bundle-category", "awfs-category", "bundle-awfs", "bundle-roster",
+        "square-roster", "functor-source", "functor-target"])
+def test_a_file_path_that_is_no_string_is_a_usage_error(capsys, tmp_path,
+                                                        argv, doc, path):
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(doc))
+    assert main(argv + [str(file)]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"at {path}: expected a file path string" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--max-candidates", "0"), ("--max-candidates", "-3"),
+    ("--max-candidates", "many"), ("--max-seconds", "0"),
+    ("--max-seconds", "-1"), ("--max-seconds", "nan")])
+def test_a_budget_that_is_not_positive_is_a_usage_error(capsys, option,
+                                                       value):
+    roster = os.path.join(DATA, "comma_roster.json")
+    assert main([option, value, "check", "cat-roster", roster]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"fwfs: error: argument {option}: " in err
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-5", "1.5"])
+def test_a_bad_budget_variable_is_a_usage_error(capsys, monkeypatch, env):
+    monkeypatch.setenv("FWFS_BUDGET", env)
+    roster = os.path.join(DATA, "comma_roster.json")
+    assert main(["check", "cat-roster", roster]) == 64
+    assert capsys.readouterr().out == ""
+

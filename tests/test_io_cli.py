@@ -241,6 +241,10 @@ def test_cli_budget_env_fallback(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "pre-awfs",
                            data("epi_mono_finset2.json"))
     assert code == 2
+    # the option wins over the variable
+    code, _, _ = run_cli(capsys, "--max-candidates", "1000000",
+                         "check", "pre-awfs", data("epi_mono_finset2.json"))
+    assert code == 0
     monkeypatch.setenv("FWFS_BUDGET", "1000000")
     code, _, _ = run_cli(capsys, "check", "pre-awfs",
                          data("epi_mono_finset2.json"))
