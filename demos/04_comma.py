@@ -4,8 +4,8 @@
 Any functor f: A -> B factors as a split reflection i_f: A -> B/f
 followed by a split fibration d_f: B/f -> B.  The script builds the
 comma category for the identity on the walking arrow, checks both
-halves, verifies their universal properties by brute-force functor
-enumeration, and computes the canonical diagonal filler of the square
+halves, verifies their universal properties by enumerating functors,
+and computes the canonical diagonal filler of the square
 (i_f, d_f).
 """
 

@@ -697,9 +697,26 @@ def check_essential_image(U: ConcreteDouble,
         idbad = []
         for o in C.objects:
             i = U.identity_vertical(o)
-            if U.underlying(i) != C.identities[o]:
+            if not U.has_vertical(i) or U.underlying(i) != C.identities[o]:
                 idbad.append({"object": o})
         report.record("identity-verticals", idbad, cases=len(C.objects))
+
+        cbad, n = [], 0
+        for v, w in U.composable_pairs(verts):
+            n += 1
+            budget.spend()
+            witness = {"w": U.label(w), "v": U.label(v)}
+            try:
+                wv = U.compose(w, v)
+            except ClosureError as e:  # a composite is no vertical
+                cbad.append({**witness, "error": str(e)})
+                continue
+            if not U.has_vertical(wv):
+                cbad.append({**witness, "kind": "not-a-vertical"})
+            elif U.underlying(wv) != C.comp[(U.underlying(w),
+                                              U.underlying(v))]:
+                cbad.append({**witness, "kind": "over-base"})
+        report.record("vertical-composition", cbad, cases=n)
 
         rc = []
         for v in verts:

@@ -12,7 +12,6 @@ witness rather than being repaired).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .dblcat import ClosureError, ConcreteDouble
@@ -533,53 +532,109 @@ def check_cat_roster(L: SplRefDouble, R: SplFibDouble,
 
 
 # ---------------------------------------------------------------------------
-# brute-force functor enumeration and the universal-property checks
+# functor enumeration and the universal-property checks
 
 
 def enumerate_functors(S: FinCategory, T: FinCategory, fixed_obj=None,
-                       fixed_mor=None, budget: Budget = UNBOUNDED):
-    """All functors S → T extending the given partial assignments, in
-    lexicographic order; each full candidate costs one budget unit."""
+                       fixed_mor=None, budget: Budget = UNBOUNDED, over=()):
+    """All functors F: S → T extending the given partial assignments with
+    P∘F = G for each pair (P, G) in ``over``, in lexicographic order.
+
+    A backtracking search assigns S's free objects in ``S.objects``
+    order, then its free morphisms in ``S.morphisms`` order, trying T's
+    objects and hom-sets in order.  An object is pruned as soon as a
+    morphism with both ends assigned has no candidate (an identity has
+    only T's identity), or a fixed image with the wrong ends; a morphism
+    at the first composition equation it completes.  The unit laws are
+    not checked: they hold in T once identities go to identities.  Each
+    value tried for one object or morphism of S costs one budget unit."""
     fixed_obj = fixed_obj or {}
     fixed_mor = fixed_mor or {}
-    out = []
+    obj = dict(fixed_obj)
+    mor = {m: fixed_mor[m] for m in S.morphisms if m in fixed_mor}
+    # a fixed object meets ``over`` if its identity does
+    if any(P.mor_map.get(mor[m]) != G.mor_map[m] for P, G in over
+           for m in mor):
+        return []
     free_objs = [o for o in S.objects if o not in fixed_obj]
-    for combo in itertools.product(T.objects, repeat=len(free_objs)):
-        obj_map = dict(fixed_obj)
-        obj_map.update(zip(free_objs, combo))
-        mor_choices = []
-        ok = True
-        free_mors = []
-        mor_map = {}
-        for m in S.morphisms:
-            want = (obj_map[S.dom[m]], obj_map[S.cod[m]])
-            if m in fixed_mor:
-                fm = fixed_mor[m]
-                if (T.dom.get(fm), T.cod.get(fm)) != want:
-                    ok = False
-                    break
-                mor_map[m] = fm
-            else:
-                cands = T.hom(*want)
-                if not cands:
-                    ok = False
-                    break
-                free_mors.append(m)
-                mor_choices.append(cands)
-        if not ok:
-            continue
-        for mcombo in itertools.product(*mor_choices):
+    free_mors = [m for m in S.morphisms if m not in fixed_mor]
+    obj_cands = {x: [t for t in T.objects
+                     if all(P.obj_map[t] == G.obj_map[x] for P, G in over)]
+                 for x in free_objs}
+    want = {m: tuple(G.mor_map[m] for _, G in over) for m in free_mors}
+    identity_of = {S.identities[o]: o for o in S.objects}
+    hom = {}   # (a, b, want) -> the values of T.hom(a, b) that ``over`` allows
+    cands = {}  # free morphism -> its values under the current objects
+
+    def fits(m):
+        """m's ends are assigned: is some value of m still possible?"""
+        a, b = obj[S.dom[m]], obj[S.cod[m]]
+        if m in fixed_mor:
+            t = fixed_mor[m]
+            return T.dom.get(t) == a and T.cod.get(t) == b and \
+                (m not in identity_of or t == T.identities[a])
+        key = (a, b, want[m])
+        if key not in hom:
+            hom[key] = [t for t in T.hom(a, b) if want[m] == tuple(
+                P.mor_map[t] for P, _ in over)]
+        c = hom[key]
+        if m in identity_of:
+            c = [T.identities[a]] if T.identities[a] in c else []
+        cands[m] = c
+        return bool(c)
+
+    # each check sits at the last free assignment it reads, or at -1
+    # (the extra last slot, checked once up front) if it reads none
+    obj_pos = {x: i for i, x in enumerate(free_objs)}
+    mor_pos = {m: j for j, m in enumerate(free_mors)}
+    ends_at = [[] for _ in range(len(free_objs) + 1)]
+    for m in S.morphisms:
+        ends_at[max(obj_pos.get(S.dom[m], -1),
+                    obj_pos.get(S.cod[m], -1))].append(m)
+    eqs_at = [[] for _ in range(len(free_mors) + 1)]
+    for (g, f), gf in S.comp.items():
+        if not (gf == g and f in identity_of or gf == f and g in identity_of):
+            eqs_at[max(mor_pos.get(g, -1), mor_pos.get(f, -1),
+                       mor_pos.get(gf, -1))].append((g, f, gf))
+    comp = T.comp
+    if not (all(map(fits, ends_at[-1])) and
+            all(comp[(mor[g], mor[f])] == mor[gf] for g, f, gf in eqs_at[-1])):
+        return []
+    slots = free_objs + free_mors
+    if not slots:
+        return [Functor(S, T, obj, mor)]
+    n = len(free_objs)
+
+    def values(k):
+        return obj_cands[slots[k]] if k < n else cands[slots[k]]
+
+    def holds(k):
+        """The checks that the value of slot k completes."""
+        if k < n:
+            return all(map(fits, ends_at[k]))
+        for g, f, gf in eqs_at[k - n]:
+            if comp[(mor[g], mor[f])] != mor[gf]:
+                return False
+        return True
+
+    # depth first, with one iterator of values per assigned slot: a loop
+    # rather than recursion, so that no closure refers to itself and the
+    # search's tables are freed on return, not by the cycle collector
+    out = []
+    stack = [iter(values(0))]
+    while stack:
+        k = len(stack) - 1
+        for t in stack[k]:
             budget.spend()
-            full = dict(mor_map)
-            full.update(zip(free_mors, mcombo))
-            F = Functor(S, T, obj_map, full)
-            if any(full[S.identities[o]] != T.identities[obj_map[o]]
-                   for o in S.objects):
-                continue
-            if any(T.comp[(full[g], full[f])] != full[gf]
-                   for (g, f), gf in S.comp.items()):
-                continue
-            out.append(F)
+            (obj if k < n else mor)[slots[k]] = t
+            if holds(k):
+                if k + 1 == len(slots):
+                    out.append(Functor(S, T, dict(obj), dict(mor)))
+                else:
+                    stack.append(iter(values(k + 1)))
+                    break
+        else:
+            stack.pop()
     return out
 
 
@@ -621,15 +676,14 @@ def check_free_split_fibration(cd: CommaData, tests,
             X, Y = V.u.source, V.u.target
             for s in enumerate_functors(f.target, Y, budget=budget):
                 s_f = compose_functors(s, f)
-                for r in enumerate_functors(f.source, X, budget=budget):
-                    if not functor_equal(compose_functors(V.u, r), s_f):
-                        continue
+                for r in enumerate_functors(f.source, X, budget=budget,
+                                            over=[(V.u, s_f)]):
                     # r' is forced on the image of i_f; s∘d_f pins the rest
                     sd = compose_functors(s, cd.d_f.u)
                     found = [r2 for r2 in enumerate_functors(
-                                 cd.comma, X, *_along(cd.i_f, r), budget=budget)
-                             if functor_equal(compose_functors(V.u, r2), sd)
-                             and all(r2.mor_map[th] == V.theta[
+                                 cd.comma, X, *_along(cd.i_f, r), budget=budget,
+                                 over=[(V.u, sd)])
+                             if all(r2.mor_map[th] == V.theta[
                                  (r2.obj_map[o], sd.mor_map[th])]
                                  for (o, _), th in theta.items())]
                     yield ({"fibration": V.name,
@@ -652,18 +706,20 @@ def check_cofree_split_reflection(cd: CommaData, tests,
             P, Q = S.u.source, S.u.target
             for a in enumerate_functors(P, f.source, budget=budget):
                 fa = compose_functors(f, a)
-                for b in enumerate_functors(Q, f.target, budget=budget):
+                # _along keeps the last value where u_x is not injective,
+                # so b∘u_x = f∘a is still checked
+                for b in enumerate_functors(Q, f.target, *_along(S.u, fa),
+                                            budget=budget):
                     if not functor_equal(compose_functors(b, S.u), fa):
                         continue
                     ia = compose_functors(cd.i_f, a)
                     al = compose_functors(a, S.left_adjoint)
                     found = [b2 for b2 in enumerate_functors(
-                                 Q, cd.comma, *_along(S.u, ia), budget=budget)
-                             if functor_equal(compose_functors(cd.d_f.u, b2), b)
-                             and functor_equal(compose_functors(cd.c_f, b2), al)
-                             and all(b2.mor_map[S.eta.components[q]]
-                                     == cd.eta.components[b2.obj_map[q]]
-                                     for q in Q.objects)]
+                                 Q, cd.comma, *_along(S.u, ia), budget=budget,
+                                 over=[(cd.d_f.u, b), (cd.c_f, al)])
+                             if all(b2.mor_map[S.eta.components[q]]
+                                    == cd.eta.components[b2.obj_map[q]]
+                                    for q in Q.objects)]
                     yield ({"reflection": S.name,
                             "square": [a.name or "a", b.name or "b"]}, found)
 

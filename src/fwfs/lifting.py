@@ -29,7 +29,8 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 
-from .dblcat import ConcreteDouble, ConcreteDoubleMap, OppositeDouble
+from .dblcat import (ClosureError, ConcreteDouble, ConcreteDoubleMap,
+                     OppositeDouble)
 from .fincat import FinCategory, OppositeCategory
 from .report import UNBOUNDED, Budget, Report, run_bounded
 
@@ -255,8 +256,9 @@ def _horizontal_left(op: LiftingOperation, valid, budget):
 
 def _vertical_left(op: LiftingOperation, valid, budget):
     """fill(j∘i, k, s, t) = fill(j, k, fill(i, k, s, t∘Uj), t), both
-    diagonals of (s, t): U(j∘i) -> Vk when U(j∘i) = Uj∘Ui.  Returns
-    (witnesses, cases)."""
+    diagonals of (s, t): U(j∘i) -> Vk when U(j∘i) = Uj∘Ui; a composite
+    j∘i that is no vertical is a witness too.  Returns (witnesses,
+    cases)."""
     L, R = op.left, op.right
     C = L.base
     comp = C.comp
@@ -266,7 +268,12 @@ def _vertical_left(op: LiftingOperation, valid, budget):
     lset = set(lverts)
     bad, n = [], 0
     for i, j in L.composable_pairs(lverts):
-        ji = L.compose(j, i)
+        try:
+            ji = L.compose(j, i)
+        except ClosureError as e:  # a composite is no vertical
+            n += 1
+            bad.append({"i": L.label(i), "j": L.label(j), "error": str(e)})
+            continue
         uji = L.underlying(ji)
         uj = L.underlying(j)
         # the lifts against j∘i were validated, over Uj∘Ui

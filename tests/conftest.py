@@ -1,13 +1,24 @@
 import pytest
 
-from fwfs import (FactorisationAssignment, LiftingStructure, awfs_from_lifting,
-                  build_finset, comma_category, dbl_from_class,
-                  unique_filler_lifting, walking_arrow)
+from fwfs import (FactorisationAssignment, FinCategory, LiftingStructure,
+                  awfs_from_lifting, build_finset, comma_category,
+                  dbl_from_class, unique_filler_lifting, walking_arrow)
 from fwfs.fincat import finset_image_factorisation, identity_functor
 
 # one line per acceptance criterion, filled in by tests/test_acceptance.py
 # and echoed after the run (pytest captures ordinary prints)
 acceptance_lines = []
+
+
+def chain(n):
+    """[n] = 0 < 1 < ... < n; ``i<j`` is the unique morphism i -> j."""
+    objects = [str(i) for i in range(n + 1)]
+    return FinCategory(
+        objects, [(f"{i}<{j}", str(i), str(j)) for i in range(n + 1)
+                  for j in range(i, n + 1)],
+        {str(i): f"{i}<{i}" for i in range(n + 1)},
+        {(f"{j}<{k}", f"{i}<{j}"): f"{i}<{k}" for i in range(n + 1)
+         for j in range(i, n + 1) for k in range(j, n + 1)}, name=f"[{n}]")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -17,13 +17,15 @@ from fwfs import (AlgDouble, Budget, FactorisationAssignment, FinCategory,
                   build_finset, check_awfs, check_category,
                   check_double_category, check_factorisation_axiom,
                   check_lifting_awfs, check_lifting_operation,
+                  check_cofree_split_reflection, check_free_split_fibration,
                   check_pre_awfs, check_split_fibration,
                   check_split_reflection, comma_category, dbl_from_class,
                   enumerate_algebras, enumerate_fillers, enumerate_functors,
                   roundtrip_compare, sem, terminal_category,
                   unique_filler_lifting, walking_arrow)
 from fwfs.awfs import Awfs
-from fwfs.catlib import SplitFibration, canonical_filler
+from fwfs.catlib import (SplitFibration, canonical_filler, identity_fibration,
+                         identity_reflection)
 from fwfs.dblcat import sq, to_internal
 from fwfs.fincat import (Functor, compose_functors, finset_image_factorisation,
                          functor_equal, identity_functor)
@@ -299,3 +301,19 @@ def test_11_lifting_finset3_default_budget():
             assert report.ok, [c.name for c in report.checks if c.status != "ok"]
             # evaluating every case would spend 1,081,908 on the operation
             assert report.budget_used <= 10**5
+
+
+def test_12_comma_universality_chain3_default_budget():
+    with criterion(12, "the free split fibration and the cofree split "
+                       "reflection on the identity of [3] are decided "
+                       "within the default budget", limit=20):
+        X = conftest.chain(3)
+        cd = comma_category(identity_functor(X, name="id3"))
+        for report in (
+                check_free_split_fibration(
+                    cd, [identity_fibration(X, name="1"), cd.d_f], Budget()),
+                check_cofree_split_reflection(
+                    cd, [identity_reflection(X, name="1"), cd.reflection],
+                    Budget())):
+            assert report.ok, [c.name for c in report.checks if c.status != "ok"]
+            assert report.budget_used <= 10**6

@@ -6,7 +6,7 @@ from fwfs import (Awfs, FunctorialFactorisation,
                   awfs_from_lifting, check_awfs,
                   check_awfs_morphism, check_double_category,
                   check_essential_image, check_functorial_factorisation,
-                  check_lifting_awfs,
+                  check_lifting_awfs, check_pre_awfs,
                   enumerate_algebras, enumerate_coalgebras,
                   factorisation_assignment, roundtrip_compare, sem,
                   terminal_category, walking_arrow)
@@ -16,7 +16,7 @@ from fwfs.dblcat import (ClosureError, check_concrete_double_map,
                          identity_double_map)
 from fwfs.fincat import finset_id
 from fwfs.io import load_awfs
-from fwfs.lifting import FactorisationAssignment
+from fwfs.lifting import FactorisationAssignment, rlp_verify, transpose_r
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                     "demos", "data")
@@ -352,6 +352,58 @@ def test_no_corruption_escapes_the_double_map_check(double):
         statuses.append(report.status)
     assert len(statuses) == 12
     assert statuses.count("violation") == 9
+
+
+@pytest.mark.parametrize("double", [CoalgDouble, AlgDouble])
+def test_essential_image_agrees_with_the_double_map_check(double):
+    """On every single-entry corruption of Δ and μ, check_essential_image
+    composes the verticals and checks the identity verticals, so it
+    finds what check_concrete_double_map finds."""
+    A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
+    verdicts = [(check_essential_image(double(B)).status,
+                 check_concrete_double_map(
+                     identity_double_map(double(B))).status)
+                for B in delta_mu_corruptions(A)]
+    assert len(verdicts) == 12
+    assert all(got == want for got, want in verdicts)
+    assert [got for got, _ in verdicts].count("violation") == 9
+
+
+def test_essential_image_composes_the_verticals():
+    A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
+    f = finset_id(2, 2, (0, 1))
+    B = Awfs(A.ff, A.delta, {**A.mu, f: finset_id(2, 2, (0, 0))})
+    [check] = check_essential_image(CoalgDouble(B)).violations()
+    assert check.name == "vertical-composition"
+    label = f"{f};{f}"
+    assert check.witnesses[0] == {"w": label, "v": label, "error":
+                                  "composite is not a coalgebra: "
+                                  f"{(label, label)}"}
+    # the identity algebra on 2 is lost: its structure map is no algebra
+    report = check_essential_image(AlgDouble(B))
+    assert report.violations()[0].name == "identity-verticals"
+    assert report.violations()[0].witnesses == [{"object": "2"}]
+
+
+def test_pre_awfs_reports_every_corruption():
+    """A composite of coalgebras that is no coalgebra is a witness of
+    the vertical compatibility law, not an escaping ClosureError."""
+    A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
+    statuses = [check_pre_awfs(sem(B)).status
+                for B in delta_mu_corruptions(A)]
+    assert statuses == ["violation"] * 12
+
+    f = finset_id(2, 2, (0, 1))
+    B = Awfs(A.ff, A.delta, {**A.mu, f: finset_id(2, 2, (0, 0))})
+    S = sem(B)
+    phi_r = transpose_r(S)
+    label = f"{f};{f}"
+    witness = {"i": label, "j": label,
+               "error": f"composite is not a coalgebra: {(label, label)}"}
+    found = [w for v in phi_r.source.verticals()
+             for c in rlp_verify(S.left, phi_r(v)).violations()
+             if c.name == "vertical-compatibility" for w in c.witnesses]
+    assert witness in found
 
 
 def test_a_missing_composite_is_a_witnessed_violation():

@@ -7,20 +7,24 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from conftest import chain
 from fwfs import (UNBOUNDED, Budget, BudgetExceeded, FactorisationAssignment,
                   LiftingStructure, Report, RlpDouble, build_finset,
                   canonical_left, check_cat_roster, check_double_category,
                   check_essential_image, check_factorisation_axiom,
-                  check_lifting_awfs, check_pre_awfs, check_structure_morphism,
-                  cli, dbl_from_class, llp_verify, rlp_verify, sq,
+                  check_free_split_fibration, check_lifting_awfs,
+                  check_pre_awfs, check_structure_morphism, cli,
+                  comma_category, dbl_from_class, llp_verify, rlp_verify, sq,
                   to_internal, transpose_l, transpose_r,
                   unique_filler_lifting, walking_arrow)
+from fwfs.catlib import identity_fibration
 from fwfs.dblcat import (ConcreteDoubleMap, check_concrete_double_map,
                          identity_double_map)
-from fwfs.fincat import finset_image_factorisation
+from fwfs.fincat import finset_image_factorisation, identity_functor
 from fwfs.io import load_bundle, load_roster
 from fwfs.lifting import LlpDouble
 
@@ -206,6 +210,33 @@ def test_time_limit_names_the_limit():
     assert check.witnesses == [
         {"note": "time budget exhausted, 4095 cases checked"}]
     assert report.budget_used == b.used
+
+
+def free_check_on_chain3(budget):
+    """The free check on the identity of [3] (B/f has 10 objects and 50
+    morphisms), and the seconds it took."""
+    X = chain(3)
+    cd = comma_category(identity_functor(X, name="id3"))
+    assert (len(cd.comma.objects), len(cd.comma.morphisms)) == (10, 50)
+    start = time.monotonic()
+    report = check_free_split_fibration(
+        cd, [identity_fibration(X, name="1"), cd.d_f], budget)
+    return report, time.monotonic() - start
+
+
+def test_functor_enumeration_honours_the_time_limit():
+    report, seconds = free_check_on_chain3(Budget(max_seconds=1))
+    assert report.status == "inconclusive"
+    [note] = inconclusive_notes(report)
+    assert note.startswith("time budget exhausted")
+    assert seconds < 5
+
+
+def test_functor_enumeration_honours_the_candidate_limit():
+    report, seconds = free_check_on_chain3(Budget(max_candidates=1000))
+    assert report.status == "inconclusive"
+    assert report.budget_used == 1000
+    assert seconds < 5
 
 
 def test_python_m_fwfs_runs_the_cli():

@@ -1,7 +1,10 @@
+import itertools
 import os
 
 import pytest
 
+from conftest import chain
+from fwfs import catlib
 from fwfs import io as fwfs_io
 from fwfs import (Budget, ClosureError, build_roster, canonical_filler,
                   cat_lifting_operation, check_cat_roster, check_category,
@@ -17,7 +20,7 @@ from fwfs.fincat import (FinCategory, Functor, NatTransformation,
                          build_finset, compose_functors, functor_equal,
                          identity_functor)
 from fwfs.lifting import SideMismatch
-from fwfs.report import Report, run_bounded
+from fwfs.report import UNBOUNDED, Report, run_bounded
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                     "demos", "data")
@@ -288,7 +291,51 @@ def test_rosters_of_a_lifting_operation_must_agree(comma_roster, arrow_comma):
 
 # --- oracles: the comma category, the universality loops and the roster
 # --- closure written out by hand, as they were before B/f came from
-# --- fincat.square_category
+# --- fincat.square_category, and functor enumeration as the product of
+# --- all assignments filtered by the functor laws
+
+
+def oracle_enumerate_functors(S, T, fixed_obj=None, fixed_mor=None):
+    fixed_obj = fixed_obj or {}
+    fixed_mor = fixed_mor or {}
+    out = []
+    free_objs = [o for o in S.objects if o not in fixed_obj]
+    for combo in itertools.product(T.objects, repeat=len(free_objs)):
+        obj_map = dict(fixed_obj)
+        obj_map.update(zip(free_objs, combo))
+        mor_choices = []
+        ok = True
+        free_mors = []
+        mor_map = {}
+        for m in S.morphisms:
+            want = (obj_map[S.dom[m]], obj_map[S.cod[m]])
+            if m in fixed_mor:
+                fm = fixed_mor[m]
+                if (T.dom.get(fm), T.cod.get(fm)) != want:
+                    ok = False
+                    break
+                mor_map[m] = fm
+            else:
+                cands = T.hom(*want)
+                if not cands:
+                    ok = False
+                    break
+                free_mors.append(m)
+                mor_choices.append(cands)
+        if not ok:
+            continue
+        for mcombo in itertools.product(*mor_choices):
+            full = dict(mor_map)
+            full.update(zip(free_mors, mcombo))
+            F = Functor(S, T, obj_map, full)
+            if any(full[S.identities[o]] != T.identities[obj_map[o]]
+                   for o in S.objects):
+                continue
+            if any(T.comp[(full[g], full[f])] != full[gf]
+                   for (g, f), gf in S.comp.items()):
+                continue
+            out.append(F)
+    return out
 
 
 def oracle_comma_category(f):
@@ -363,7 +410,7 @@ def oracle_comma_category(f):
     return CommaData(comma, i_f, c_f, d_f, eta, reflection, f)
 
 
-def oracle_free(cd, tests, budget):
+def oracle_free(cd, tests):
     report = Report()
     f = cd.f
     A, B = f.source, f.target
@@ -372,9 +419,9 @@ def oracle_free(cd, tests, budget):
         bad, n = [], 0
         for V in tests:
             X, Y = V.u.source, V.u.target
-            for s in enumerate_functors(B, Y, budget=budget):
+            for s in oracle_enumerate_functors(B, Y):
                 s_f = compose_functors(s, f)
-                for r in enumerate_functors(A, X, budget=budget):
+                for r in oracle_enumerate_functors(A, X):
                     if not functor_equal(compose_functors(V.u, r), s_f):
                         continue
                     n += 1
@@ -382,8 +429,7 @@ def oracle_free(cd, tests, budget):
                     found = []
                     fo = {cd.i_f.obj_map[a]: r.obj_map[a] for a in A.objects}
                     fm = {cd.i_f.mor_map[m]: r.mor_map[m] for m in A.morphisms}
-                    for r2 in enumerate_functors(cd.comma, X, fixed_obj=fo,
-                                                 fixed_mor=fm, budget=budget):
+                    for r2 in oracle_enumerate_functors(cd.comma, X, fo, fm):
                         if not functor_equal(compose_functors(V.u, r2), sd):
                             continue
                         if not all(r2.mor_map[cd.d_f.theta[(o, g)]]
@@ -398,10 +444,10 @@ def oracle_free(cd, tests, budget):
                                     "factorisations": len(found)})
         report.record("free-fibration-universality", bad, cases=n)
 
-    return run_bounded(report, "free-fibration-universality", body, budget)
+    return run_bounded(report, "free-fibration-universality", body, None)
 
 
-def oracle_cofree(cd, tests, budget):
+def oracle_cofree(cd, tests):
     report = Report()
     f = cd.f
     A, B = f.source, f.target
@@ -410,9 +456,9 @@ def oracle_cofree(cd, tests, budget):
         bad, n = [], 0
         for S in tests:
             P, Q = S.u.source, S.u.target
-            for a in enumerate_functors(P, A, budget=budget):
+            for a in oracle_enumerate_functors(P, A):
                 fa = compose_functors(f, a)
-                for b in enumerate_functors(Q, B, budget=budget):
+                for b in oracle_enumerate_functors(Q, B):
                     if not functor_equal(compose_functors(b, S.u), fa):
                         continue
                     n += 1
@@ -421,8 +467,7 @@ def oracle_cofree(cd, tests, budget):
                     fo = {S.u.obj_map[p]: ia.obj_map[p] for p in P.objects}
                     fm = {S.u.mor_map[m]: ia.mor_map[m] for m in P.morphisms}
                     found = []
-                    for b2 in enumerate_functors(Q, cd.comma, fixed_obj=fo,
-                                                 fixed_mor=fm, budget=budget):
+                    for b2 in oracle_enumerate_functors(Q, cd.comma, fo, fm):
                         if not functor_equal(
                                 compose_functors(cd.d_f.u, b2), b):
                             continue
@@ -441,7 +486,7 @@ def oracle_cofree(cd, tests, budget):
         report.record("cofree-reflection-couniversality", bad, cases=n)
 
     return run_bounded(report, "cofree-reflection-couniversality", body,
-                       budget)
+                       None)
 
 
 def oracle_roster_composites(functors, morphisms):
@@ -459,16 +504,6 @@ def oracle_roster_composites(functors, morphisms):
                     comp[(gn, fn)] = hn
                     break
     return comp
-
-
-def chain2():
-    objects = ["0", "1", "2"]
-    return FinCategory(
-        objects, [(f"{i}<{j}", i, j) for i in objects for j in objects
-                  if i <= j],
-        {i: f"{i}<{i}" for i in objects},
-        {(f"{j}<{k}", f"{i}<{j}"): f"{i}<{k}" for i in objects
-         for j in objects for k in objects if i <= j <= k}, name="[2]")
 
 
 def pick0():
@@ -520,17 +555,24 @@ def test_comma_category_matches_its_oracle(functor):
 
 UNIVERSALITY_INSTANCES = {
     "arrow": lambda: identity_functor(walking_arrow(), name="idW"),
-    "[2]": lambda: identity_functor(chain2(), name="id2"),
+    "[2]": lambda: identity_functor(chain(2), name="id2"),
     "pick0": pick0,
 }
 
 
 def same_report(check, oracle, *args):
-    got_budget, want_budget = Budget(), Budget()
+    """The check's report equals its oracle's in everything but
+    ``budget_used``: the oracle enumerates functors by brute force and
+    spends no budget, the check reports what its own budget spent."""
+    got_budget = Budget()
     got = check(*args, got_budget)
-    want = oracle(*args, want_budget)
-    assert got.to_json() == want.to_json()
-    assert got_budget.used == want_budget.used
+    want = oracle(*args)
+
+    def verdict(report):
+        return {k: v for k, v in report.to_dict().items()
+                if k != "budget_used"}
+    assert verdict(got) == verdict(want)
+    assert got.budget_used == got_budget.used
     return got
 
 
@@ -560,6 +602,95 @@ def test_free_check_matches_its_oracle_on_every_changed_lift(arrow_comma):
                 verdicts.append(same_report(check_free_split_fibration,
                                             oracle_free, cd, [V]).status)
     assert verdicts == ["violation"] * 5
+
+
+def tables(functors):
+    return [(list(F.obj_map.items()), list(F.mor_map.items()))
+            for F in functors]
+
+
+def constants_monoid():
+    """The identity and the two constant maps of a 2-set: c∘x = c, so
+    g∘f = g with f no identity."""
+    ms = ["1", "c0", "c1"]
+    return FinCategory(["*"], [(m, "*", "*") for m in ms], {"*": "1"},
+                       {(g, f): f if g == "1" else g for g in ms for f in ms},
+                       name="M")
+
+
+def enumeration_categories():
+    comma = {"W/idW": identity_functor(walking_arrow(), name="idW"),
+             "[2]/id2": identity_functor(chain(2), name="id2"),
+             "W/pick0": pick0()}
+    return {"1": terminal_category(), "2": walking_arrow(), "[2]": chain(2),
+            **{n: comma_category(f).comma for n, f in comma.items()},
+            "M": constants_monoid()}
+
+
+# [2]/id2 (20 morphisms) into FinSet<=2 or M is left out: the oracle's
+# product of hom-set choices there (3^20 into M) does not finish in minutes
+ENUMERATION_PAIRS = [(s, t) for s in enumeration_categories()
+                     for t in [*enumeration_categories(), "FinSet<=2"]
+                     if (s, t) not in (("[2]/id2", "FinSet<=2"),
+                                       ("[2]/id2", "M"))]
+
+
+@pytest.mark.parametrize("source,target", ENUMERATION_PAIRS)
+def test_enumeration_matches_its_oracle(source, target):
+    cats = {**enumeration_categories(),
+            "FinSet<=2": build_finset(2).category}
+    S, T = cats[source], cats[target]
+    assert tables(enumerate_functors(S, T)) == \
+        tables(oracle_enumerate_functors(S, T))
+
+
+def test_enumeration_under_constraints_matches_the_filtered_oracle():
+    """Functors W → [2] with one fixed object or morphism and P∘F = G for
+    P: [2] → FinSet<=2, fixed parts that contradict the constraint
+    included: the oracle's list filtered by the constraint."""
+    S, T = walking_arrow(), chain(2)
+    functors = oracle_enumerate_functors(S, T)
+    for P in oracle_enumerate_functors(T, build_finset(2).category):
+        for F0 in functors:
+            G = compose_functors(P, F0)
+            for F1 in functors:
+                for fixed in (({"0": F1.obj_map["0"]}, None),
+                              (None, {"a": F1.mor_map["a"]})):
+                    want = [F for F in oracle_enumerate_functors(S, T, *fixed)
+                            if functor_equal(compose_functors(P, F), G)]
+                    assert tables(enumerate_functors(
+                        S, T, *fixed, over=[(P, G)])) == tables(want)
+
+
+def test_enumeration_matches_its_oracle_on_the_universality_calls(
+        monkeypatch):
+    """Every partial assignment that the free and cofree checks extend,
+    alone and with the constraints P∘F = G they pass as ``over``."""
+    calls = []
+    enumerate_ = catlib.enumerate_functors
+
+    def spy(S, T, fixed_obj=None, fixed_mor=None, budget=UNBOUNDED,
+            over=()):
+        calls.append((S, T, fixed_obj, fixed_mor, over))
+        return enumerate_(S, T, fixed_obj, fixed_mor, budget, over)
+    monkeypatch.setattr(catlib, "enumerate_functors", spy)
+    for make in UNIVERSALITY_INSTANCES.values():
+        f = make()
+        cd = comma_category(f)
+        check_free_split_fibration(
+            cd, [identity_fibration(f.target, name="1"), cd.d_f])
+        check_cofree_split_reflection(
+            cd, [identity_reflection(f.source, name="1"), cd.reflection])
+    monkeypatch.undo()
+    assert any(fo for _, _, fo, _, _ in calls)
+    assert any(over for *_, over in calls)
+    for S, T, fo, fm, over in calls:
+        want = oracle_enumerate_functors(S, T, fo, fm)
+        assert tables(enumerate_functors(S, T, fo, fm)) == tables(want)
+        assert tables(enumerate_functors(S, T, fo, fm, over=over)) == \
+            tables(F for F in want
+                   if all(functor_equal(compose_functors(P, F), G)
+                          for P, G in over))
 
 
 def test_roster_base_matches_its_oracle(monkeypatch):
