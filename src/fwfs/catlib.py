@@ -543,11 +543,11 @@ def enumerate_functors(S: FinCategory, T: FinCategory, fixed_obj=None,
     A backtracking search assigns S's free objects in ``S.objects``
     order, then its free morphisms in ``S.morphisms`` order, trying T's
     objects and hom-sets in order.  An object is pruned as soon as a
-    morphism with both ends assigned has no candidate (an identity has
-    only T's identity), or a fixed image with the wrong ends; a morphism
-    at the first composition equation it completes.  The unit laws are
-    not checked: they hold in T once identities go to identities.  Each
-    value tried for one object or morphism of S costs one budget unit."""
+    morphism with both ends assigned has an empty hom-set, or a fixed
+    image with the wrong ends (or, for an identity, not T's identity); a
+    morphism at an identity, or at the first composition equation it
+    completes.  Each value tried for one object or morphism of S costs
+    one budget unit."""
     fixed_obj = fixed_obj or {}
     fixed_mor = fixed_mor or {}
     obj = dict(fixed_obj)
@@ -563,25 +563,22 @@ def enumerate_functors(S: FinCategory, T: FinCategory, fixed_obj=None,
                  for x in free_objs}
     want = {m: tuple(G.mor_map[m] for _, G in over) for m in free_mors}
     identity_of = {S.identities[o]: o for o in S.objects}
-    hom = {}   # (a, b, want) -> the values of T.hom(a, b) that ``over`` allows
-    cands = {}  # free morphism -> its values under the current objects
+    hom = {}  # (a, b, want) -> the values of T.hom(a, b) that ``over`` allows
+
+    def candidates(m):
+        key = (obj[S.dom[m]], obj[S.cod[m]], want[m])
+        if key not in hom:
+            hom[key] = [t for t in T.hom(*key[:2])
+                        if key[2] == tuple(P.mor_map[t] for P, _ in over)]
+        return hom[key]
 
     def fits(m):
         """m's ends are assigned: is some value of m still possible?"""
-        a, b = obj[S.dom[m]], obj[S.cod[m]]
-        if m in fixed_mor:
-            t = fixed_mor[m]
-            return T.dom.get(t) == a and T.cod.get(t) == b and \
-                (m not in identity_of or t == T.identities[a])
-        key = (a, b, want[m])
-        if key not in hom:
-            hom[key] = [t for t in T.hom(a, b) if want[m] == tuple(
-                P.mor_map[t] for P, _ in over)]
-        c = hom[key]
-        if m in identity_of:
-            c = [T.identities[a]] if T.identities[a] in c else []
-        cands[m] = c
-        return bool(c)
+        if m not in fixed_mor:
+            return bool(candidates(m))
+        t, a = fixed_mor[m], obj[S.dom[m]]
+        return T.dom.get(t) == a and T.cod.get(t) == obj[S.cod[m]] and \
+            (m not in identity_of or t == T.identities[a])
 
     # each check sits at the last free assignment it reads, or at -1
     # (the extra last slot, checked once up front) if it reads none
@@ -593,29 +590,30 @@ def enumerate_functors(S: FinCategory, T: FinCategory, fixed_obj=None,
                     obj_pos.get(S.cod[m], -1))].append(m)
     eqs_at = [[] for _ in range(len(free_mors) + 1)]
     for (g, f), gf in S.comp.items():
-        if not (gf == g and f in identity_of or gf == f and g in identity_of):
-            eqs_at[max(mor_pos.get(g, -1), mor_pos.get(f, -1),
-                       mor_pos.get(gf, -1))].append((g, f, gf))
+        eqs_at[max(mor_pos.get(g, -1), mor_pos.get(f, -1),
+                   mor_pos.get(gf, -1))].append((g, f, gf))
     comp = T.comp
-    if not (all(map(fits, ends_at[-1])) and
-            all(comp[(mor[g], mor[f])] == mor[gf] for g, f, gf in eqs_at[-1])):
-        return []
     slots = free_objs + free_mors
-    if not slots:
-        return [Functor(S, T, obj, mor)]
     n = len(free_objs)
-
-    def values(k):
-        return obj_cands[slots[k]] if k < n else cands[slots[k]]
 
     def holds(k):
         """The checks that the value of slot k completes."""
         if k < n:
             return all(map(fits, ends_at[k]))
-        for g, f, gf in eqs_at[k - n]:
-            if comp[(mor[g], mor[f])] != mor[gf]:
-                return False
-        return True
+        m = slots[k]
+        if m in identity_of and mor[m] != T.identities[obj[identity_of[m]]]:
+            return False
+        return all(comp[(mor[g], mor[f])] == mor[gf]
+                   for g, f, gf in eqs_at[k - n])
+
+    if not (all(map(fits, ends_at[-1])) and
+            all(comp[(mor[g], mor[f])] == mor[gf] for g, f, gf in eqs_at[-1])):
+        return []
+    if not slots:
+        return [Functor(S, T, obj, mor)]
+
+    def values(k):
+        return obj_cands[slots[k]] if k < n else candidates(slots[k])
 
     # depth first, with one iterator of values per assigned slot: a loop
     # rather than recursion, so that no closure refers to itself and the

@@ -644,6 +644,19 @@ def test_enumeration_matches_its_oracle(source, target):
         tables(oracle_enumerate_functors(S, T))
 
 
+def test_enumeration_matches_its_oracle_on_every_fixed_part_of_M():
+    """Every partial assignment of M's morphisms, lawful or not: a fixed
+    identity that is no identity, or fixed values that break a
+    composition equation, leave no functor."""
+    M = constants_monoid()
+    for values in itertools.product([None, *M.morphisms],
+                                    repeat=len(M.morphisms)):
+        fm = {m: v for m, v in zip(M.morphisms, values) if v is not None}
+        for fo in ({}, {"*": "*"}):
+            assert tables(enumerate_functors(M, M, fo, fm)) == \
+                tables(oracle_enumerate_functors(M, M, fo, fm))
+
+
 def test_enumeration_under_constraints_matches_the_filtered_oracle():
     """Functors W → [2] with one fixed object or morphism and P∘F = G for
     P: [2] → FinSet<=2, fixed parts that contradict the constraint
