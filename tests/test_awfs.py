@@ -342,31 +342,19 @@ def delta_mu_corruptions(A):
 def test_no_corruption_escapes_the_double_map_check(double):
     """The identity double map of Coalg and of Alg is checked to a
     report, with the verdict of check_double_category, on every
-    single-entry corruption of Δ and μ of the image awfs."""
+    single-entry corruption of Δ and μ of the image awfs; so is the
+    essential image, which composes the verticals and checks the
+    identity verticals."""
     A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
     statuses = []
     for B in delta_mu_corruptions(A):
         D = double(B)
         report = check_concrete_double_map(identity_double_map(D))
         assert report.status == check_double_category(D).status
+        assert report.status == check_essential_image(D).status
         statuses.append(report.status)
     assert len(statuses) == 12
     assert statuses.count("violation") == 9
-
-
-@pytest.mark.parametrize("double", [CoalgDouble, AlgDouble])
-def test_essential_image_agrees_with_the_double_map_check(double):
-    """On every single-entry corruption of Δ and μ, check_essential_image
-    composes the verticals and checks the identity verticals, so it
-    finds what check_concrete_double_map finds."""
-    A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
-    verdicts = [(check_essential_image(double(B)).status,
-                 check_concrete_double_map(
-                     identity_double_map(double(B))).status)
-                for B in delta_mu_corruptions(A)]
-    assert len(verdicts) == 12
-    assert all(got == want for got, want in verdicts)
-    assert [got for got, _ in verdicts].count("violation") == 9
 
 
 def test_essential_image_composes_the_verticals():
