@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dblcat import ClosureError, ConcreteDouble, OppositeDouble
+from .dblcat import (ClosureError, ConcreteDouble, ConcreteDoubleMap,
+                     OppositeDouble, record_vertical_laws)
 from .fincat import FinCategory, OppositeCategory
 from .lifting import (FactorisationAssignment, LiftingStructure,
                       RuleLifting, factorisations, lifting_problems)
@@ -670,11 +671,12 @@ def check_awfs_morphism(A: Awfs, A2: Awfs, K: dict) -> Report:
 def check_essential_image(U: ConcreteDouble,
                           budget: Budget = UNBOUNDED) -> Report:
     """Necessary conditions for a concrete double category to arise from
-    an awfs: faithful labelling, lawful identities/composition over the
-    base, and right-connectedness (every vertical v over f admits the
-    square (f, 1) into the identity vertical on cod f).  The verticals
-    over every morphism are enumerated, under a private default
-    ``Budget()`` for an oracle-backed U given none."""
+    an awfs: faithful labelling, the vertical laws of U's identity map
+    (:func:`~fwfs.dblcat.record_vertical_laws`), and right-connectedness
+    (every vertical v over f admits the square (f, 1) into the identity
+    vertical on cod f, which must exist).  The verticals over every
+    morphism are enumerated, under a private default ``Budget()`` for an
+    oracle-backed U given none."""
     report = Report()
     if not U.explicit and budget is UNBOUNDED:
         budget = Budget()
@@ -682,8 +684,7 @@ def check_essential_image(U: ConcreteDouble,
 
     def body():
         verts = [v for f in C.morphisms for v in U.verticals_over(f, budget)]
-        seen = {}
-        bad = []
+        seen, bad = {}, []
         for v in verts:
             budget.spend()
             lbl = U.label(v)
@@ -694,37 +695,14 @@ def check_essential_image(U: ConcreteDouble,
         if bad:
             return
 
-        idbad = []
-        for o in C.objects:
-            i = U.identity_vertical(o)
-            if not U.has_vertical(i) or U.underlying(i) != C.identities[o]:
-                idbad.append({"object": o})
-        report.record("identity-verticals", idbad, cases=len(C.objects))
-
-        cbad, n = [], 0
-        for v, w in U.composable_pairs(verts):
-            n += 1
-            budget.spend()
-            witness = {"w": U.label(w), "v": U.label(v)}
-            try:
-                wv = U.compose(w, v)
-            except ClosureError as e:  # a composite is no vertical
-                cbad.append({**witness, "error": str(e)})
-                continue
-            if not U.has_vertical(wv):
-                cbad.append({**witness, "kind": "not-a-vertical"})
-            elif U.underlying(wv) != C.comp[(U.underlying(w),
-                                              U.underlying(v))]:
-                cbad.append({**witness, "kind": "over-base"})
-        report.record("vertical-composition", cbad, cases=n)
-
+        ids = record_vertical_laws(
+            report, ConcreteDoubleMap(U, U, {v: v for v in verts}), verts, budget)
         rc = []
         for v in verts:
             budget.spend()
             f = U.underlying(v)
             cod = C.cod[f]
-            ivert = U.identity_vertical(cod)
-            if not U.is_square(v, ivert, f, C.identities[cod]):
+            if cod not in ids or not U.is_square(v, ids[cod], f, C.identities[cod]):
                 rc.append({"vertical": U.label(v), "f": f})
         report.record("right-connectedness", rc, cases=len(verts))
 

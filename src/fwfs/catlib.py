@@ -266,7 +266,12 @@ def comma_category(f: Functor) -> CommaData:
 
 class FillerError(ValueError):
     """:func:`canonical_filler` was not given a commuting square from a
-    split reflection to a split fibration, so it built no filler."""
+    split reflection to a split fibration, so it built no filler;
+    ``witness`` names what failed and the square's functors (r, s)."""
+
+    def __init__(self, what, square):
+        super().__init__(f"{what}: {square}")
+        self.witness = (what, square)
 
 
 def canonical_filler(S: SplitReflection, F: SplitFibration,
@@ -285,14 +290,15 @@ def canonical_filler(S: SplitReflection, F: SplitFibration,
     g = F.u
     B = u.target
     Cc = g.source
+    square = (r.name, s.name)
     if r.source is not u.source or r.target is not Cc:
         raise FillerError("top functor r must go from the source of u to "
-                          "the source of g")
+                          "the source of g", square)
     if s.source is not B or s.target is not g.target:
         raise FillerError("bottom functor s must go from the target of u "
-                          "to the target of g")
+                          "to the target of g", square)
     if not functor_equal(compose_functors(g, r), compose_functors(s, u)):
-        raise FillerError("square does not commute")
+        raise FillerError("square does not commute", square)
 
     kobj, lift_at = {}, {}
     for b in B.objects:
@@ -310,11 +316,11 @@ def canonical_filler(S: SplitReflection, F: SplitFibration,
             m, s.mor_map[al])
     k = Functor(B, Cc, kobj, kmor, name="k")
     if not check_functor(k).ok:
-        raise FillerError("the canonical diagonal is not a functor")
+        raise FillerError("the canonical diagonal is not a functor", square)
     if not functor_equal(compose_functors(k, u), r):
-        raise FillerError("upper triangle k∘u = r fails")
+        raise FillerError("upper triangle k∘u = r fails", square)
     if not functor_equal(compose_functors(g, k), s):
-        raise FillerError("lower triangle g∘k = s fails")
+        raise FillerError("lower triangle g∘k = s fails", square)
     return k
 
 

@@ -15,7 +15,8 @@ import sys
 
 from . import awfs as awfs_mod
 from . import io as io_mod
-from .catlib import canonical_filler, check_cat_roster, comma_category
+from .catlib import (FillerError, canonical_filler, check_cat_roster,
+                     comma_category)
 from .dblcat import ClosureError, check_double_category
 from .fincat import (check_category, check_functor, finset_image_factorisation,
                      finset_values)
@@ -141,6 +142,9 @@ def _comma_dot(cd) -> str:
 
 def cmd_comma(args) -> int:
     f = io_mod.load_functor(args.functor)
+    report = check_functor(f)
+    if not report.ok:
+        return _emit_report(report)
     cd = comma_category(f)
     if args.dot:
         sys.stdout.write(_comma_dot(cd))
@@ -278,7 +282,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (NotOrthogonal, ClosureError, awfs_mod.ReconstructionError) as e:
+    except (NotOrthogonal, ClosureError, FillerError,
+            awfs_mod.ReconstructionError) as e:
         # bad mathematical input (witnessed), not a parse problem
         report = Report()
         report.add_violation(type(e).__name__, [{"witness": repr(e.witness)}])

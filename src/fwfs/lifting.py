@@ -549,7 +549,6 @@ class RlpDouble(ConcreteDouble):
         super().__init__(L.base, name or f"RLP({L.name})")
         self.L = L
         self.vertical = _vertical_class(L.base)
-        self._over = {}
         self._verified = {}
         self._undecided = {}  # f -> the j with some Uj -> f filled twice
 
@@ -561,9 +560,6 @@ class RlpDouble(ConcreteDouble):
         return ok
 
     def verticals_over(self, f, budget: Budget = UNBOUNDED):
-        cached = self._over.get(f)
-        if cached is not None:
-            return list(cached)
         budget = Budget() if budget is UNBOUNDED else budget
         C = self.base
         L = self.L
@@ -575,7 +571,6 @@ class RlpDouble(ConcreteDouble):
                 keys.append(self.vertical.key(L.label(j), top, bottom))
                 fillers = enumerate_fillers(C, lj, f, top, bottom)
                 if not fillers:
-                    self._over[f] = ()
                     return []
                 choices.append(fillers)
         out = []
@@ -586,14 +581,10 @@ class RlpDouble(ConcreteDouble):
             if self._verified.get(cand) or rlp_verify(L, cand).ok:
                 self._verified[cand] = True
                 out.append(cand)
-        self._over[f] = tuple(out)
         return out
 
     def verticals(self):
-        out = []
-        for f in self.base.morphisms:
-            out.extend(self.verticals_over(f))
-        return out
+        return [v for f in self.base.morphisms for v in self.verticals_over(f)]
 
     def has_vertical(self, v):
         return type(v) is self.vertical and self.verified(v)

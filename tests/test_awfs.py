@@ -12,7 +12,7 @@ from fwfs import (Awfs, FunctorialFactorisation,
                   terminal_category, walking_arrow)
 from fwfs.awfs import (AlgDouble, CoalgDouble, ReconstructionError,
                        is_algebra)
-from fwfs.dblcat import (ClosureError, check_concrete_double_map,
+from fwfs.dblcat import (ClassDouble, ClosureError, check_concrete_double_map,
                          identity_double_map)
 from fwfs.fincat import finset_id
 from fwfs.io import load_awfs
@@ -410,3 +410,37 @@ def test_a_missing_composite_is_a_witnessed_violation():
     assert [c.name for c in report.violations()] == \
         ["identity-verticals", "vertical-composition"]
     assert report.violations()[0].witnesses == [{"object": "2"}]
+
+
+def test_a_missing_identity_vertical_is_a_witnessed_violation():
+    """A class without the identity on 1 is reported by both checkers of
+    the vertical laws, not raised; right-connectedness then finds no
+    identity vertical for a to connect to."""
+    U = ClassDouble(walking_arrow(), ["a", "id0"])
+    witness = {"object": "1", "error": "missing identity: 1"}
+    for report in (check_concrete_double_map(identity_double_map(U)),
+                   check_essential_image(U)):
+        assert report.status == "violation"
+        [check] = [c for c in report.violations()
+                   if c.name == "identity-verticals"]
+        assert check.witnesses == [witness]
+    assert [c.name for c in check_essential_image(U).violations()] == \
+        ["identity-verticals", "right-connectedness"]
+
+
+@pytest.mark.parametrize("double", [CoalgDouble, AlgDouble])
+def test_double_map_check_on_the_opposite_is_written_in_c(double):
+    """On D^op the identity map's report is D's, in D's order, with w and
+    v swapped: composable pairs are walked as D walks them."""
+    A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
+
+    def flip(witness):
+        return {**witness, "w": witness["v"], "v": witness["w"]} \
+            if "w" in witness else witness
+    for B in delta_mu_corruptions(A):
+        D = double(B)
+        want = check_concrete_double_map(identity_double_map(D)).to_dict()
+        for check in want["checks"]:
+            check["witnesses"] = [flip(w) for w in check["witnesses"]]
+        assert check_concrete_double_map(
+            identity_double_map(D.op())).to_dict() == want

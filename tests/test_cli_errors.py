@@ -249,3 +249,50 @@ def test_a_bad_budget_variable_is_a_usage_error(capsys, monkeypatch, env):
     assert main(["check", "cat-roster", roster]) == 64
     assert capsys.readouterr().out == ""
 
+
+
+FUNCTORS = ["c", "d", "i", "ic", "idd"]
+
+
+@pytest.mark.parametrize("bottom", FUNCTORS)
+@pytest.mark.parametrize("top", FUNCTORS)
+def test_a_square_without_a_filler_is_a_violation(capsys, tmp_path, top,
+                                                  bottom):
+    """Every choice of the square's functors from the roster gets a
+    filler (exit 0) or a witnessed FillerError (exit 1), never a
+    traceback."""
+    file = tmp_path / "square.json"
+    file.write_text(json.dumps(data_doc("cat_square.json", top=top,
+                                        bottom=bottom)))
+    code, doc = run_cli(capsys, "cat-fill", "--square", str(file))
+    if (top, bottom) in (("i", "c"), ("i", "d")):
+        assert code == 0 and set(doc) == {"filler"}
+        return
+    assert code == 1 and doc["status"] == "violation"
+    [check] = doc["checks"]
+    assert check["name"] == "FillerError"
+    [witness] = check["witnesses"]
+    assert witness["witness"].endswith(f"{(top, bottom)!r})")
+
+
+@pytest.mark.parametrize("change, check, witness", [
+    ({"object_map": {}}, "totality",
+     {"kind": "object-unmapped", "object": "*"}),
+    ({"object_map": {"*": "9"}}, "boundaries",
+     {"kind": "boundary", "morphism": "id", "image": "id0"}),
+    ({"morphism_map": {}}, "totality",
+     {"kind": "morphism-unmapped", "morphism": "id"}),
+    ({"morphism_map": {"id": "zz"}}, "boundaries",
+     {"kind": "unknown-image", "morphism": "id", "image": "zz"}),
+    ({"morphism_map": {"id": "a"}}, "boundaries",
+     {"kind": "boundary", "morphism": "id", "image": "a"}),
+], ids=["no-objects", "unknown-object", "no-morphisms", "unknown-morphism",
+        "wrong-boundary"])
+def test_comma_of_a_non_functor_is_a_violation(capsys, tmp_path, change,
+                                               check, witness):
+    file = tmp_path / "functor.json"
+    file.write_text(json.dumps(data_doc("pick0.json", **change)))
+    code, doc = run_cli(capsys, "comma", "--functor", str(file))
+    assert code == 1 and doc["status"] == "violation"
+    assert [(c["name"], c["witnesses"]) for c in doc["checks"]
+            if c["status"] != "ok"] == [(check, [witness])]

@@ -8,6 +8,7 @@ for an intended change of output, with
 """
 
 import os
+import shlex
 import subprocess
 import sys
 
@@ -22,14 +23,20 @@ SCRIPTS = ["01_orthogonality.py", "02_reconstruction.py", "03_algebras.py",
            "04_comma.py"]
 
 
-def run(script):
+def source_env():
+    """The environment with ``src`` first on the path and no budget
+    override."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     env.pop("FWFS_BUDGET", None)
+    return env
+
+
+def run(script):
     return subprocess.run([sys.executable, os.path.join(DEMOS, script)],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=source_env(),
                           timeout=120)
 
 
@@ -43,6 +50,28 @@ def test_demo_matches_golden(script):
     assert proc.returncode == 0, proc.stderr
     with open(golden_path(script)) as fh:
         assert proc.stdout == fh.read()
+
+
+def readme_commands():
+    """The ``fwfs`` lines of README's command-line block, with their
+    continuations joined and comments dropped."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("fwfs ")]
+
+
+def test_readme_commands_run():
+    commands = readme_commands()
+    assert len(commands) == 14
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "fwfs", *argv[1:]],
+                              capture_output=True, text=True,
+                              env=source_env(), cwd=ROOT, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:

@@ -23,7 +23,7 @@ from fwfs import (Budget, FinCategory, RlpVertical, build_finset,
                   check_category, check_lifting_operation, dbl_from_class,
                   enumerate_fillers, llp_verify, rlp_verify, transpose_l,
                   transpose_r, unique_filler_lifting, walking_arrow)
-from fwfs.dblcat import ClassDouble, sq
+from fwfs.dblcat import ClassDouble, check_double_category, sq
 from fwfs.fincat import finset_values
 from fwfs.lifting import (LiftingStructure, LlpDouble, LlpVertical, RlpDouble,
                           RuleLifting, TableLifting)
@@ -818,3 +818,43 @@ def test_lifting_operation_over_broken_base():
     assert got.ok
     assert got.to_dict() == oracle_lifting_operation(op, Budget()).to_dict()
     assert not B.is_category
+
+
+# --- the unique-filler gate of is_square -----------------------------------
+
+
+class OnlyIdentitySquareOfJ(ClassDouble):
+    """Over FinSet<=2: the identities and j = 1>2:0, with every
+    commuting square between identity verticals but only the identity
+    square of j."""
+
+    J = "1>2:0"
+
+    def __init__(self, C):
+        super().__init__(C, [*C.identities.values(), self.J], name="j")
+
+    def is_square(self, v, w, top, bottom):
+        C = self.base
+        if C.is_identity(v) and C.is_identity(w):
+            return super().is_square(v, w, top, bottom)
+        return v == w == self.J and (top, bottom) == (
+            C.identities[C.dom[v]], C.identities[C.cod[v]])
+
+    def squares(self, v, w):
+        return [s for s in super().squares(v, w) if self.is_square(v, w, *s)]
+
+
+def test_is_square_gate_is_the_target_vertical():
+    """j has two fillers against 2>1:00 but one against an identity, so
+    a square from the identity vertical on 2 into a vertical w over
+    2>1:00 must be evaluated against j: the gate reads w.f, not v.f."""
+    C = build_finset(2).category
+    L = OnlyIdentitySquareOfJ(C)
+    assert check_double_category(L).ok
+    D = RlpDouble(L)
+    ws = D.verticals_over("2>1:00")
+    assert len(ws) == 4
+    v = D.identity_vertical("2")
+    for w in ws:
+        assert not D.is_square(v, w, "2>2:01", "2>1:00")
+    assert same_squares(D, [v, *ws], oracle_rlp_is_square) > 0
