@@ -455,7 +455,7 @@ class CoalgDouble(ConcreteDouble):
 
     def is_square(self, v, w, top, bottom):
         C = self.base
-        if (top, bottom) not in C.squares(v.f, w.f):
+        if not C.commutes(v.f, w.f, top, bottom):
             return False
         e = self.A.ff.sq_map[(v.f, w.f, top, bottom)]
         return C.comp[(e, v.s)] == C.comp[(w.s, bottom)]

@@ -446,7 +446,7 @@ class SplRefDouble(_RosterDouble):
         return name
 
     def is_square(self, v, w, top, bottom):
-        if (top, bottom) not in self.base.squares(v, w):
+        if not self.base.commutes(v, w, top, bottom):
             return False
         Sv, Sw = self.members[v], self.members[w]
         r = self.roster.functors[top]
@@ -483,7 +483,7 @@ class SplFibDouble(_RosterDouble):
         return name
 
     def is_square(self, v, w, top, bottom):
-        if (top, bottom) not in self.base.squares(v, w):
+        if not self.base.commutes(v, w, top, bottom):
             return False
         Fv, Fw = self.members[v], self.members[w]
         r = self.roster.functors[top]

@@ -174,7 +174,7 @@ class ClassDouble(ConcreteDouble):
         return c
 
     def is_square(self, v, w, top, bottom):
-        return (top, bottom) in self.base.squares(v, w)
+        return self.base.commutes(v, w, top, bottom)
 
     def squares(self, v, w):
         return list(self.base.squares(v, w))

@@ -68,14 +68,27 @@ class FinCategory:
         return cached
 
     def _commuting(self, f, g):
-        out = []
+        """The squares f -> g, tops in hom order, then bottoms: the
+        bottoms are indexed once by bottom∘f, and each top reads those
+        equal to g∘top."""
         comp = self.comp
-        for top in self.hom(self.dom[f], self.dom[g]):
-            gt = comp[(g, top)]
-            for bottom in self.hom(self.cod[f], self.cod[g]):
-                if comp[(bottom, f)] == gt:
-                    out.append((top, bottom))
-        return out
+        tops = self.hom(self.dom[f], self.dom[g])
+        if not tops:
+            return []
+        by_composite = {}
+        for bottom in self.hom(self.cod[f], self.cod[g]):
+            by_composite.setdefault(comp[(bottom, f)], []).append(bottom)
+        return [(top, bottom) for top in tops
+                for bottom in by_composite.get(comp[(g, top)], ())]
+
+    def commutes(self, f, g, top, bottom):
+        """Whether (top, bottom) is in :meth:`squares` (f, g), without
+        building the squares: both edges have the right ends and
+        g∘top = bottom∘f."""
+        dom, cod, comp = self.dom, self.cod, self.comp
+        return (dom.get(top) == dom[f] and cod.get(top) == dom[g]
+                and dom.get(bottom) == cod[f] and cod.get(bottom) == cod[g]
+                and comp[(g, top)] == comp[(bottom, f)])
 
     def unique_fillers(self, f, g):
         """Whether every commuting square f -> g has at most one diagonal.

@@ -225,7 +225,11 @@ def _forced(C: FinCategory, valid):
 
 def _horizontal_left(op: LiftingOperation, valid, budget):
     """Naturality in squares of L: fill(j,k,s,t)∘r1 = fill(i,k,s∘r0,t∘r1),
-    both diagonals of (s∘r0, t∘r1): Ui -> Vk.  Returns (witnesses, cases)."""
+    both diagonals of (s∘r0, t∘r1): Ui -> Vk.  Returns (witnesses, cases).
+
+    Whether the block against k is forced depends on i and k alone, so
+    per pair (i, j) the forced blocks count len(L.squares(i, j)) times
+    their cases at once, and only the others are walked."""
     L, R = op.left, op.right
     C = L.base
     comp = C.comp
@@ -234,13 +238,17 @@ def _horizontal_left(op: LiftingOperation, valid, budget):
     bad, n = [], 0
     for i, j in L.pairs(sorted(L.verticals(), key=L.label)):
         li, lj = L.underlying(i), L.underlying(j)
-        # the blocks against each k depend on i and j alone
-        blocks = [(k, C.squares(lj, rk), forced(li, rk)) for k, rk in rverts]
-        for r0, r1 in L.squares(i, j):
-            for k, squares, skip in blocks:
-                if skip:
-                    n += len(squares)
-                    continue
+        blocks, forced_cases = [], 0
+        for k, rk in rverts:
+            squares = C.squares(lj, rk)
+            if forced(li, rk):
+                forced_cases += len(squares)
+            else:
+                blocks.append((k, squares))
+        lsquares = L.squares(i, j)
+        n += len(lsquares) * forced_cases
+        for r0, r1 in lsquares:
+            for k, squares in blocks:
                 for s, t in squares:
                     n += 1
                     budget.spend()
@@ -552,11 +560,15 @@ class RlpDouble(ConcreteDouble):
         self._verified = {}
         self._undecided = {}  # f -> the j with some Uj -> f filled twice
 
+    def verify(self, v) -> Report:
+        """Objecthood of v: :func:`rlp_verify` against L."""
+        return rlp_verify(self.L, v)
+
     def verified(self, v):
-        """``rlp_verify(L, v).ok``, computed once per vertical."""
+        """``verify(v).ok``, computed once per vertical."""
         ok = self._verified.get(v)
         if ok is None:
-            ok = self._verified[v] = rlp_verify(self.L, v).ok
+            ok = self._verified[v] = self.verify(v).ok
         return ok
 
     def verticals_over(self, f, budget: Budget = UNBOUNDED):
@@ -604,7 +616,7 @@ class RlpDouble(ConcreteDouble):
     def is_square(self, v, w, top, bottom):
         C = self.base
         comp = C.comp
-        if (top, bottom) not in C.squares(v.f, w.f):
+        if not C.commutes(v.f, w.f, top, bottom):
             return False
         L = self.L
         # the square must commute with the fillers: top∘theta_v = theta_w
@@ -633,6 +645,10 @@ class LlpDouble(OppositeDouble):
     def __init__(self, R: ConcreteDouble, name=""):
         super().__init__(RlpDouble(R.op()), name or f"LLP({R.name})")
         self.R = R
+
+    def verify(self, v) -> Report:
+        """Objecthood of v: :func:`llp_verify` against R."""
+        return llp_verify(self.R, v)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +732,10 @@ def check_pre_awfs(S: LiftingStructure, budget: Budget = UNBOUNDED) -> Report:
         for v in source.verticals():
             img = trans(v)
             if not target.has_vertical(img):
+                first = target.verify(img).violations()[0]
                 bad.append({"kind": "image-not-a-vertical",
-                            "vertical": source.label(v)})
+                            "vertical": source.label(v), "check": first.name,
+                            "witness": first.witnesses[0]})
                 continue
             key = target.label(img)
             if key in images:
@@ -816,21 +834,29 @@ def factorisations(S: LiftingStructure, FA: FactorisationAssignment, f):
     """The factorisation axiom's search at f = ρf∘λf: a function of a left
     vertical x, Ux and a square (a, b): Ux -> f returning, in hom order,
     every b' with ρf∘b' = b, b'∘Ux = λf∘a and (a, b'): x -> g_f an
-    L-square.  Reconstruction reads E, Δ and μ off it (:mod:`fwfs.awfs`)."""
+    L-square.  Reconstruction reads E, Δ and μ off it (:mod:`fwfs.awfs`).
+
+    hom(cod Ux, mid) is indexed by (ρf∘b', b'∘Ux) on the first search
+    with Ux, so each search is one lookup, then the square test on the
+    candidates found, in hom order."""
     L = S.left
     C = L.base
     comp, cod, hom, is_square = C.comp, C.cod, C.hom, L.is_square
     g, mid, h = FA[f]
     lam, rho = L.underlying(g), S.right.underlying(h)
+    indexes = {}
 
     def search(x, ux, a, b):
-        top = comp[(lam, a)]
-        found = []
-        for b2 in hom(cod[ux], mid):
-            if (comp[(rho, b2)] == b and comp[(b2, ux)] == top
-                    and is_square(x, g, a, b2)):
-                found.append(b2)
-        return found
+        index = indexes.get(ux)
+        if index is None:
+            index = {}
+            for b2 in hom(cod[ux], mid):
+                # b'∘Ux may be missing from a table that is no category
+                key = (comp[(rho, b2)], comp.get((b2, ux)))
+                index.setdefault(key, []).append(b2)
+            indexes[ux] = index
+        return [b2 for b2 in index.get((b, comp[(lam, a)]), ())
+                if is_square(x, g, a, b2)]
     return search
 
 

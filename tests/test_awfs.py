@@ -394,6 +394,29 @@ def test_pre_awfs_reports_every_corruption():
     assert witness in found
 
 
+def test_pre_awfs_says_why_an_image_is_no_vertical():
+    """An image of a transpose that is no vertical carries the first
+    violated check of its verify report and that check's first witness,
+    under φ_l in the dual key names that llp_verify gives."""
+    A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
+    keys = {"phi_r": ("i", "j", "a coalgebra"),
+            "phi_l": ("l", "k", "an algebra")}
+    pairs = 0
+    for B in delta_mu_corruptions(A):
+        for check in check_pre_awfs(sem(B)).violations():
+            side = check.name.split("-")[0]
+            images = [w for w in check.witnesses
+                      if w["kind"] == "image-not-a-vertical"]
+            pairs += bool(images)
+            lower, upper, what = keys[side]
+            for w in images:
+                assert w["check"] == "vertical-compatibility"
+                assert set(w["witness"]) == {lower, upper, "error"}
+                assert w["witness"]["error"].startswith(
+                    f"composite is not {what}: ")
+    assert pairs == 18
+
+
 def test_a_missing_composite_is_a_witnessed_violation():
     A = load_awfs(os.path.join(DATA, "image_awfs_finset2.json"))
     f = finset_id(2, 2, (0, 1))

@@ -3,9 +3,10 @@ import pytest
 from fwfs import (Adjunction, FinCategory, NatTransformation, arrow_category,
                   build_finset, check_adjunction, check_category,
                   check_functor, terminal_category, walking_arrow)
-from fwfs.fincat import (Functor, compose_functors, finset_id,
-                         finset_image_factorisation, finset_values,
-                         identity_functor)
+from fwfs.fincat import (Functor, OppositeCategory, compose_functors,
+                         finset_id, finset_image_factorisation,
+                         finset_values, identity_functor)
+from test_duality import broken_walking_arrow, delta_plus, nonassociative_base
 
 
 def three_element_monoid():
@@ -192,3 +193,35 @@ def test_compose_functors_tables():
     assert check_functor(const1).ok
     cc = compose_functors(const1, const1)
     assert cc.obj_map == const1.obj_map and cc.mor_map == const1.mor_map
+
+
+@pytest.mark.parametrize("make", [
+    walking_arrow,
+    lambda: build_finset(2).category,
+    lambda: build_finset(2).category.op(),
+    lambda: delta_plus(2)[0],
+    nonassociative_base,
+    broken_walking_arrow,
+], ids=["walking-arrow", "finset2", "finset2-op", "delta2", "nonassociative",
+        "broken-walking-arrow"])
+def test_squares_and_commutes_match_the_definition(make):
+    """squares(f, g) is the hom × hom filter, in its order, and
+    commutes(f, g, t, b) is membership in it, for every quadruple: the
+    edges' ends are part of the test, not only the two composites.  The
+    opposite view keeps C's order, in which its bottoms are outer."""
+    C = make()
+    ms = C.morphisms
+    for f in ms:
+        for g in ms:
+            tops = C.hom(C.dom[f], C.dom[g])
+            bottoms = C.hom(C.cod[f], C.cod[g])
+            pairs = ([(t, b) for b in bottoms for t in tops]
+                     if isinstance(C, OppositeCategory)
+                     else [(t, b) for t in tops for b in bottoms])
+            want = [(t, b) for t, b in pairs
+                    if C.comp[(g, t)] == C.comp[(b, f)]]
+            assert list(C.squares(f, g)) == want
+            for t in ms:
+                for b in ms:
+                    assert C.commutes(f, g, t, b) == ((t, b) in want), \
+                        (f, g, t, b)
