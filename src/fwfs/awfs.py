@@ -26,7 +26,7 @@ from .dblcat import (ClosureError, ConcreteDouble, ConcreteDoubleMap,
 from .fincat import FinCategory, OppositeCategory
 from .lifting import (FactorisationAssignment, LiftingStructure,
                       RuleLifting, factorisations, lifting_problems)
-from .report import UNBOUNDED, Budget, Report, run_bounded
+from .report import UNBOUNDED, Budget, Cases, Report
 
 
 @dataclass
@@ -681,29 +681,27 @@ def check_essential_image(U: ConcreteDouble,
     if not U.explicit and budget is UNBOUNDED:
         budget = Budget()
     C = U.base
-
-    def body():
+    with report.bounded("essential-image", budget):
         verts = [v for f in C.morphisms for v in U.verticals_over(f, budget)]
-        seen, bad = {}, []
+        seen, labels = {}, Cases(budget)
         for v in verts:
-            budget.spend()
+            labels.case()
             lbl = U.label(v)
             if lbl in seen and seen[lbl] != v:
-                bad.append({"kind": "label-collision", "label": lbl})
+                labels.bad.append({"kind": "label-collision", "label": lbl})
             seen[lbl] = v
-        report.record("concreteness", bad, cases=len(verts))
-        if bad:
-            return
+        report.record("concreteness", labels.bad, cases=labels.n)
+        if labels.bad:
+            return report
 
         ids = record_vertical_laws(
             report, ConcreteDoubleMap(U, U, {v: v for v in verts}), verts, budget)
-        rc = []
+        rc = Cases(budget)
         for v in verts:
-            budget.spend()
+            rc.case()
             f = U.underlying(v)
             cod = C.cod[f]
             if cod not in ids or not U.is_square(v, ids[cod], f, C.identities[cod]):
-                rc.append({"vertical": U.label(v), "f": f})
-        report.record("right-connectedness", rc, cases=len(verts))
-
-    return run_bounded(report, "essential-image", body, budget)
+                rc.bad.append({"vertical": U.label(v), "f": f})
+        report.record("right-connectedness", rc.bad, cases=rc.n)
+    return report

@@ -20,7 +20,7 @@ from .fincat import (FinCategory, Functor, NatTransformation,
                      compose_functors, functor_equal, identity_functor,
                      square_category)
 from .lifting import LiftingOperation, RuleLifting, SideMismatch
-from .report import UNBOUNDED, Budget, Report, run_bounded
+from .report import UNBOUNDED, Budget, Report
 
 
 @dataclass
@@ -156,8 +156,7 @@ def check_split_fibration(F: SplitFibration,
     if bad:
         return report
 
-    def cartesian():
-        cbad, n = [], 0
+    with report.cases("cartesianness", budget) as cases:
         for (a, h), th in F.theta.items():
             b = B.dom[h]
             for m in A.morphisms:
@@ -166,14 +165,11 @@ def check_split_fibration(F: SplitFibration,
                 for g in B.hom(u.obj_map[A.dom[m]], b):
                     if B.comp[(h, g)] != u.mor_map[m]:
                         continue
-                    n += 1
-                    budget.spend()
+                    cases.case()
                     found = _cartesian_factors(F, th, m, g)
                     if len(found) != 1:
-                        cbad.append({"a": a, "h": h, "m": m, "g": g,
-                                     "factorisations": found[:2]})
-        report.record("cartesianness", cbad, cases=n)
-    run_bounded(report, "cartesianness", cartesian, budget)
+                        cases.bad.append({"a": a, "h": h, "m": m, "g": g,
+                                          "factorisations": found[:2]})
 
     sbad, n = [], 0
     for a in A.objects:
@@ -652,18 +648,15 @@ def _along(F: Functor, G: Functor):
 def _unique_factorisations(name, squares, budget: Budget) -> Report:
     """Record ``name`` over the ``(witness, factorisations)`` pairs that
     ``squares()`` yields: a square is a violation unless it has exactly
-    one factorisation."""
+    one factorisation.  Enumerating the factorisations charges the
+    budget, so the squares are counted without charging."""
     report = Report()
-
-    def body():
-        bad, n = [], 0
+    with report.cases(name, budget) as cases:
         for witness, found in squares():
-            n += 1
+            cases.count(1)
             if len(found) != 1:
-                bad.append({**witness, "factorisations": len(found)})
-        report.record(name, bad, cases=n)
-
-    return run_bounded(report, name, body, budget)
+                cases.bad.append({**witness, "factorisations": len(found)})
+    return report
 
 
 def check_free_split_fibration(cd: CommaData, tests,

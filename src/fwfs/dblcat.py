@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .fincat import (FinCategory, Functor, arrow_mor_id, check_category,
                      check_functor, square_category)
-from .report import UNBOUNDED, Budget, Report, run_bounded
+from .report import UNBOUNDED, Budget, Cases, Report
 
 
 class ClosureError(ValueError):
@@ -302,14 +302,11 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
     if isinstance(D, ConcreteDouble):
         if not D.explicit and budget is UNBOUNDED:
             budget = Budget()
-
-        def materialize():
-            nonlocal D
+        with report.bounded("materialization", budget):
             try:
                 D = to_internal(D, budget)
             except ClosureError as e:  # a composite or identity is missing
                 report.add_violation("materialization", [{"error": str(e)}])
-        run_bounded(report, "materialization", materialize, budget)
         if not report.ok:
             return report
     report.merge(check_category(D.cat0), prefix="cat0-")
@@ -368,25 +365,20 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
     report.record("m-units", unital,
                   cases=len(D.cat1.objects) + len(D.cat1.morphisms))
 
-    def associativity():
-        assoc = []
-        n = 0
+    with report.cases("m-associativity", budget) as cases:
+        case = cases.case
         for L in levels:
             outer, later, first = L.keys
             for (w, v), wv in L.m.items():
                 for x in L.above.get(L.c[w], ()):
-                    n += 1
-                    budget.spend()
+                    case()
                     if L.m[(x, wv)] != L.m[(L.m[(x, w)], v)]:
-                        assoc.append({"kind": L.noun, outer: x, later: w,
-                                      first: v})
-        report.record("m-associativity", assoc, cases=n)
-    run_bounded(report, "m-associativity", associativity, budget)
+                        cases.bad.append({"kind": L.noun, outer: x, later: w,
+                                          first: v})
 
-    def interchange():
-        # m is functorial on 2x2 grids of squares
-        inter = []
-        n = 0
+    # m is functorial on 2x2 grids of squares
+    with report.cases("interchange", budget) as cases:
+        case, inter = cases.case, cases.bad
         comp1, cod1 = D.cat1.comp, D.cat1.cod
         # the squares out of each vertical, and out of it with each top
         out, out_top = {}, {}
@@ -397,8 +389,7 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
             # horizontal successors of the stacked pair (b', a') with a' after a, b' after b
             for a2 in out[cod1[a]]:
                 for b2 in out_top.get((cod1[b], D.c.mor_map[a2]), ()):
-                    n += 1
-                    budget.spend()
+                    case()
                     lhs = D.m_sq[(comp1[(b2, b)], comp1[(a2, a)])]
                     rhs = comp1[(D.m_sq[(b2, a2)], ba)]
                     if lhs != rhs:
@@ -408,8 +399,7 @@ def check_double_category(D, budget: Budget = UNBOUNDED) -> Report:
         for (w, v), wv in D.m_vert.items():
             if D.m_sq[(D.cat1.identities[w], D.cat1.identities[v])] != D.cat1.identities[wv]:
                 inter.append({"kind": "identity-square", "w": w, "v": v})
-        report.record("interchange", inter, cases=n)
-    return run_bounded(report, "interchange", interchange, budget)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +432,10 @@ def record_vertical_laws(report: Report, F: ConcreteDoubleMap, verts,
     each object, and T's composite of the images of each pair of
     ``S.composable_pairs(verts)``, must be verticals of T over C's
     identity and composite, and F's images of S's.  A ``ClosureError``
-    is a witness with its ``error``; one budget unit per pair.  Returns
-    T's identity verticals by object, where there are any."""
+    is a witness with its ``error``; one budget unit per pair, so the
+    caller runs it in :meth:`~fwfs.report.Report.bounded`, which names
+    an exhausted budget.  Returns T's identity verticals by object,
+    where there are any."""
     S, T, C = F.source, F.target, F.source.base
     ids, idbad = {}, []
     for o in C.objects:
@@ -455,22 +447,21 @@ def record_vertical_laws(report: Report, F: ConcreteDoubleMap, verts,
         except ClosureError as e:
             idbad.append({"object": o, "error": str(e)})
     report.record("identity-verticals", idbad, cases=len(C.objects))
-    cbad, n = [], 0
+    cases = Cases(budget)
     for v, w in S.composable_pairs(verts):
-        n += 1
-        budget.spend()
+        cases.case()
         witness = {"w": S.label(w), "v": S.label(v)}
         try:
             wv = T.compose(F(w), F(v))
             if not T.has_vertical(wv):
-                cbad.append({**witness, "kind": "not-a-vertical"})
+                cases.bad.append({**witness, "kind": "not-a-vertical"})
             elif T.underlying(wv) != C.comp[(S.underlying(w), S.underlying(v))]:
-                cbad.append({**witness, "kind": "over-base"})
+                cases.bad.append({**witness, "kind": "over-base"})
             elif F.vertical_map.get(S.compose(w, v)) != wv:
-                cbad.append(witness)
+                cases.bad.append(witness)
         except ClosureError as e:  # a composite is no vertical
-            cbad.append({**witness, "error": str(e)})
-    report.record("vertical-composition", cbad, cases=n)
+            cases.bad.append({**witness, "error": str(e)})
+    report.record("vertical-composition", cases.bad, cases=cases.n)
     return ids
 
 
@@ -494,17 +485,13 @@ def check_concrete_double_map(F: ConcreteDoubleMap,
     if bad:
         return report
 
-    run_bounded(report, "vertical-composition",
-                lambda: record_vertical_laws(report, F, verts, budget), budget)
-
-    def squares():
-        sbad, n = [], 0
+    with report.bounded("vertical-composition", budget):
+        record_vertical_laws(report, F, verts, budget)
+    with report.cases("square-preservation", budget) as cases:
         for v, w in S.pairs(verts):
             for top, bottom in S.squares(v, w):
-                n += 1
-                budget.spend()
+                cases.case()
                 if not T.is_square(F(v), F(w), top, bottom):
-                    sbad.append({"v": S.label(v), "w": S.label(w),
-                                 "square": [top, bottom]})
-        report.record("square-preservation", sbad, cases=n)
-    return run_bounded(report, "square-preservation", squares, budget)
+                    cases.bad.append({"v": S.label(v), "w": S.label(w),
+                                      "square": [top, bottom]})
+    return report

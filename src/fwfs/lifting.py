@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .dblcat import (ClosureError, ConcreteDouble, ConcreteDoubleMap,
                      OppositeDouble)
 from .fincat import FinCategory, OppositeCategory
-from .report import UNBOUNDED, Budget, Report, run_bounded
+from .report import UNBOUNDED, Budget, Cases, Report
 
 
 def enumerate_fillers(C: FinCategory, left, right, top, bottom):
@@ -154,26 +154,6 @@ class DualLifting(LiftingOperation):
         return self.original
 
 
-class UniqueFillerLifting(LiftingOperation):
-    """The forced rule when every square has exactly one filler."""
-
-    def __init__(self, left, right):
-        super().__init__(left, right)
-        self._cache = {}
-
-    def fill(self, j, k, top, bottom):
-        lf = self.left.underlying(j)
-        rf = self.right.underlying(k)
-        key = (lf, rf, top, bottom)
-        d = self._cache.get(key)
-        if d is None:
-            fillers = enumerate_fillers(self.left.base, lf, rf, top, bottom)
-            if len(fillers) != 1:
-                raise NotOrthogonal(f"{len(fillers)} fillers", key)
-            d = self._cache[key] = fillers[0]
-        return d
-
-
 class RuleLifting(LiftingOperation):
     """Arbitrary callable rule (j, k, top, bottom) -> diagonal."""
 
@@ -187,17 +167,21 @@ class RuleLifting(LiftingOperation):
 
 
 def unique_filler_lifting(left: ConcreteDouble, right: ConcreteDouble
-                          ) -> UniqueFillerLifting:
-    """Build the unique-filler operation, verifying orthogonality first:
-    every square from a left vertical to a right vertical must have
-    exactly one diagonal (zero or two witnesses raise)."""
+                          ) -> TableLifting:
+    """The table of the unique fillers of the lifting problems: every
+    square from a left vertical to a right vertical must have exactly
+    one diagonal (the first with zero or two raises)."""
     C = left.base
     if right.base is not C and right.base.morphisms != C.morphisms:
         raise SideMismatch("left and right lie over different base categories")
-    op = UniqueFillerLifting(left, right)
-    for problem in lifting_problems(left, right):
-        op.fill(*problem)  # raises NotOrthogonal on failure
-    return op
+    table = {}
+    for j, k, top, bottom in lifting_problems(left, right):
+        key = (left.underlying(j), right.underlying(k), top, bottom)
+        fillers = enumerate_fillers(C, *key)
+        if len(fillers) != 1:
+            raise NotOrthogonal(f"{len(fillers)} fillers", key)
+        table[(left.label(j), right.label(k), top, bottom)] = fillers[0]
+    return TableLifting(left, right, table)
 
 
 @dataclass
@@ -223,9 +207,9 @@ def _forced(C: FinCategory, valid):
     return C.unique_fillers if valid and C.is_category else lambda x, y: False
 
 
-def _horizontal_left(op: LiftingOperation, valid, budget):
+def _horizontal_left(op: LiftingOperation, valid, cases: Cases):
     """Naturality in squares of L: fill(j,k,s,t)∘r1 = fill(i,k,s∘r0,t∘r1),
-    both diagonals of (s∘r0, t∘r1): Ui -> Vk.  Returns (witnesses, cases).
+    both diagonals of (s∘r0, t∘r1): Ui -> Vk.  Fills ``cases``.
 
     Whether the block against k is forced depends on i and k alone, so
     per pair (i, j) the forced blocks count len(L.squares(i, j)) times
@@ -235,7 +219,7 @@ def _horizontal_left(op: LiftingOperation, valid, budget):
     comp = C.comp
     forced = _forced(C, valid)
     rverts = [(k, R.underlying(k)) for k in sorted(R.verticals(), key=R.label)]
-    bad, n = [], 0
+    case, bad = cases.case, cases.bad
     for i, j in L.pairs(sorted(L.verticals(), key=L.label)):
         li, lj = L.underlying(i), L.underlying(j)
         blocks, forced_cases = [], 0
@@ -246,12 +230,11 @@ def _horizontal_left(op: LiftingOperation, valid, budget):
             else:
                 blocks.append((k, squares))
         lsquares = L.squares(i, j)
-        n += len(lsquares) * forced_cases
+        cases.count(len(lsquares) * forced_cases)
         for r0, r1 in lsquares:
             for k, squares in blocks:
                 for s, t in squares:
-                    n += 1
-                    budget.spend()
+                    case()
                     lhs = comp[(op.fill(j, k, s, t), r1)]
                     rhs = op.fill(i, k, comp[(s, r0)], comp[(t, r1)])
                     if lhs != rhs:
@@ -259,14 +242,13 @@ def _horizontal_left(op: LiftingOperation, valid, budget):
                                     "left-square": [r0, r1],
                                     "square": [s, t],
                                     "lhs": lhs, "rhs": rhs})
-    return bad, n
 
 
-def _vertical_left(op: LiftingOperation, valid, budget):
+def _vertical_left(op: LiftingOperation, valid, cases: Cases):
     """fill(j∘i, k, s, t) = fill(j, k, fill(i, k, s, t∘Uj), t), both
     diagonals of (s, t): U(j∘i) -> Vk when U(j∘i) = Uj∘Ui; a composite
-    j∘i that is no vertical is a witness too.  Returns (witnesses,
-    cases)."""
+    j∘i that is no vertical, or whose U does not end where Uj does, is
+    a witness too.  Fills ``cases``."""
     L, R = op.left, op.right
     C = L.base
     comp = C.comp
@@ -274,13 +256,14 @@ def _vertical_left(op: LiftingOperation, valid, budget):
     lverts = sorted(L.verticals(), key=L.label)
     rverts = sorted(R.verticals(), key=R.label)
     lset = set(lverts)
-    bad, n = [], 0
+    case, bad = cases.case, cases.bad
     for i, j in L.composable_pairs(lverts):
+        pair = {"i": L.label(i), "j": L.label(j)}
         try:
             ji = L.compose(j, i)
         except ClosureError as e:  # a composite is no vertical
-            n += 1
-            bad.append({"i": L.label(i), "j": L.label(j), "error": str(e)})
+            cases.count(1)
+            bad.append({**pair, "error": str(e)})
             continue
         uji = L.underlying(ji)
         uj = L.underlying(j)
@@ -290,18 +273,19 @@ def _vertical_left(op: LiftingOperation, valid, budget):
             rk = R.underlying(k)
             squares = C.squares(uji, rk)
             if validated and forced(uji, rk):
-                n += len(squares)
+                cases.count(len(squares))
                 continue
             for s, t in squares:
-                n += 1
-                budget.spend()
-                mid = op.fill(i, k, s, comp[(t, uj)])
-                rhs = op.fill(j, k, mid, t)
+                case()
+                tj = comp.get((t, uj))
+                if tj is None:  # U(j∘i) does not end where Uj does
+                    bad.append({**pair, "square": [s, t],
+                                "kind": "composite-boundary"})
+                    continue
+                rhs = op.fill(j, k, op.fill(i, k, s, tj), t)
                 lhs = op.fill(ji, k, s, t)
                 if lhs != rhs:
-                    bad.append({"i": L.label(i), "j": L.label(j),
-                                "square": [s, t], "lhs": lhs, "rhs": rhs})
-    return bad, n
+                    bad.append({**pair, "square": [s, t], "lhs": lhs, "rhs": rhs})
 
 
 def check_lifting_operation(op: LiftingOperation,
@@ -322,21 +306,15 @@ def check_lifting_operation(op: LiftingOperation,
     C = L.base
     comp = C.comp
     report = Report()
-
-    def validity():
-        bad, n = [], 0
+    with report.cases("filler-validity", budget) as cases:
         for j, k, top, bottom in lifting_problems(L, R):
-            n += 1
-            budget.spend()
+            cases.case()
             d = op.fill(j, k, top, bottom)
             lj, rk = L.underlying(j), R.underlying(k)
             if (C.dom.get(d) != C.cod[lj] or C.cod.get(d) != C.dom[rk]
                     or comp[(d, lj)] != top or comp[(rk, d)] != bottom):
-                bad.append({"j": L.label(j), "k": R.label(k),
-                            "square": [top, bottom], "diagonal": d})
-        report.record("filler-validity", bad, cases=n)
-
-    run_bounded(report, "filler-validity", validity, budget)
+                cases.bad.append({"j": L.label(j), "k": R.label(k),
+                                  "square": [top, bottom], "diagonal": d})
     valid = report.ok
     dual = op.dual()
     for name, law, on in (("horizontal-left", _horizontal_left, op),
@@ -345,12 +323,10 @@ def check_lifting_operation(op: LiftingOperation,
                           ("vertical-right", _vertical_left, dual)):
         if report.violations():
             break
-
-        def family():
-            bad, n = law(on, valid, budget)
-            report.record(name, bad if on is op else _dual_witnesses(name, bad),
-                          cases=n)
-        run_bounded(report, name, family, budget)
+        with report.cases(name, budget) as cases:
+            law(on, valid, cases)
+            if on is not op:
+                cases.bad = _dual_witnesses(name, cases.bad)
     return report
 
 
@@ -463,33 +439,26 @@ def rlp_verify(L: ConcreteDouble, v: RlpVertical,
         return report
 
     op = _StoredFillers(L, v)
-
-    def validity():
-        bad, n = [], 0
+    with report.cases("filler-validity", budget) as cases:
         for j, k, top, bottom in lifting_problems(L, op.right):
-            n += 1
-            budget.spend()
+            cases.case()
             d = op.fill(j, k, top, bottom)
             lj = L.underlying(j)
             if d is None:
-                bad.append({"kind": "missing", "j": L.label(j),
-                            "square": [top, bottom]})
+                cases.bad.append({"kind": "missing", "j": L.label(j),
+                                  "square": [top, bottom]})
             elif (C.dom.get(d) != C.cod[lj] or C.cod.get(d) != C.dom[f]
                     or comp[(d, lj)] != top or comp[(f, d)] != bottom):
-                bad.append({"kind": "invalid", "j": L.label(j),
-                            "square": [top, bottom], "diagonal": d})
-        report.record("filler-validity", bad, cases=n)
-    run_bounded(report, "filler-validity", validity, budget)
+                cases.bad.append({"kind": "invalid", "j": L.label(j),
+                                  "square": [top, bottom], "diagonal": d})
     if not report.ok:
         return report
     for name, law in (("horizontal-compatibility", _horizontal_left),
                       ("vertical-compatibility", _vertical_left)):
-        def family():
-            bad, n = law(op, True, budget)
-            report.record(name, [{k: x for k, x in w.items()
-                                  if k not in ("lhs", "rhs")} for w in bad],
-                          cases=n)
-        run_bounded(report, name, family, budget)
+        with report.cases(name, budget) as cases:
+            law(op, True, cases)
+            cases.bad = [{k: x for k, x in w.items() if k not in ("lhs", "rhs")}
+                         for w in cases.bad]
     return report
 
 
@@ -697,19 +666,16 @@ def check_structure_morphism(S: LiftingStructure, S2: LiftingStructure,
     right, as tables over (L, R')."""
     report = Report()
     L, R2 = S.left, S2.right
-
-    def agreement():
-        bad, n = [], 0
+    with report.cases("operation-agreement", budget) as cases:
         for j, k2, top, bottom in lifting_problems(L, R2):
-            n += 1
-            budget.spend()
+            cases.case()
             lhs = S2.op.fill(F_l(j), k2, top, bottom)
             rhs = S.op.fill(j, F_r(k2), top, bottom)
             if lhs != rhs:
-                bad.append({"j": L.label(j), "k'": R2.label(k2),
-                            "square": [top, bottom], "lhs": lhs, "rhs": rhs})
-        report.record("operation-agreement", bad, cases=n)
-    return run_bounded(report, "operation-agreement", agreement, budget)
+                cases.bad.append({"j": L.label(j), "k'": R2.label(k2),
+                                  "square": [top, bottom], "lhs": lhs,
+                                  "rhs": rhs})
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -746,18 +712,13 @@ def check_pre_awfs(S: LiftingStructure, budget: Budget = UNBOUNDED) -> Report:
         report.record(f"{name}-verticals-injective", bad, cases=len(images))
         if bad:
             return
-
-        def surjective():
-            missing = []
-            n = 0
+        with report.cases(f"{name}-verticals-surjective", budget) as cases:
             for f in C.morphisms:
                 for cand in target.verticals_over(f, budget):
-                    n += 1
+                    cases.count(1)  # verticals_over charged it
                     if target.label(cand) not in images:
-                        missing.append({"kind": "unmatched-vertical", "f": f,
-                                        "vertical": target.label(cand)})
-            report.record(f"{name}-verticals-surjective", missing, cases=n)
-        run_bounded(report, f"{name}-verticals-surjective", surjective, budget)
+                        cases.bad.append({"kind": "unmatched-vertical", "f": f,
+                                          "vertical": target.label(cand)})
 
         # squares: the transpose must induce a bijection on squares between
         # any two verticals; concretely the (top, bottom) sets must agree
@@ -861,24 +822,21 @@ def factorisations(S: LiftingStructure, FA: FactorisationAssignment, f):
 
 
 def _couniversal_left(S: LiftingStructure, FA: FactorisationAssignment,
-                      budget):
-    """The left side of :func:`check_factorisation_axiom`.  Returns
-    (witnesses, cases)."""
+                      cases: Cases):
+    """The left side of :func:`check_factorisation_axiom`, filling
+    ``cases``."""
     L = S.left
     C = L.base
-    bad, n = [], 0
     lverts = [(x, L.underlying(x)) for x in sorted(L.verticals(), key=L.label)]
     for f in C.morphisms:
         search = factorisations(S, FA, f)
         for x, ux in lverts:
             for a, b in C.squares(ux, f):
-                n += 1
-                budget.spend()
+                cases.case()
                 found = search(x, ux, a, b)
                 if len(found) != 1:
-                    bad.append({"f": f, "x": L.label(x), "square": [a, b],
-                                "factorisations": found[:2]})
-    return bad, n
+                    cases.bad.append({"f": f, "x": L.label(x), "square": [a, b],
+                                      "factorisations": found[:2]})
 
 
 def check_factorisation_axiom(S: LiftingStructure, FA: FactorisationAssignment,
@@ -899,19 +857,13 @@ def check_factorisation_axiom(S: LiftingStructure, FA: FactorisationAssignment,
     report = check_factorisation_assignment(S, FA)
     if not report.ok:
         return report
-
-    def left_side():
-        report.record("couniversal-left", *_couniversal_left(S, FA, budget))
-
-    def right_side():
-        bad, n = _couniversal_left(S.dual(), FA.dual(), budget)
-        report.record("universal-right", _dual_witnesses("universal-right", bad),
-                      cases=n)
-
     if side in ("both", "left-only"):
-        run_bounded(report, "couniversal-left", left_side, budget)
+        with report.cases("couniversal-left", budget) as cases:
+            _couniversal_left(S, FA, cases)
     if side in ("both", "right-only"):
-        run_bounded(report, "universal-right", right_side, budget)
+        with report.cases("universal-right", budget) as cases:
+            _couniversal_left(S.dual(), FA.dual(), cases)
+            cases.bad = _dual_witnesses("universal-right", cases.bad)
     return report
 
 

@@ -5,12 +5,17 @@ A :class:`Report` aggregates named checks.  Each check is ``ok``, a
 bounded enumeration ran out of budget before the search space was
 exhausted.  Reports serialize deterministically: two runs on identical
 inputs emit identical bytes.
+
+A check's cases are counted and charged in :meth:`Report.cases`: one
+budget unit per evaluated case, and an exhausted budget makes the check
+``inconclusive``.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 OK = "ok"
@@ -77,6 +82,30 @@ class _Unbounded(Budget):
 UNBOUNDED = _Unbounded()
 
 
+class Cases:
+    """One check's witnesses ``bad`` and its case count ``n``.
+
+    ``case()`` charges one budget unit and counts one evaluated case;
+    ``count(n)`` counts n cases without charging: cases decided without
+    being evaluated, or charged where they were enumerated."""
+
+    __slots__ = ("bad", "n", "_spend", "case")
+
+    def __init__(self, budget: Budget):
+        self.bad = []
+        self.n = 0
+        self._spend = budget.spend
+        # spending UNBOUNDED is free, so its cases need only be counted
+        self.case = self.count if budget is UNBOUNDED else self._charge
+
+    def _charge(self) -> None:
+        self._spend()
+        self.n += 1
+
+    def count(self, n: int = 1) -> None:
+        self.n += n
+
+
 @dataclass
 class Check:
     name: str
@@ -140,6 +169,30 @@ class Report:
         w = [{"note": note}] if note else []
         return self.add(name, INCONCLUSIVE, w, cases)
 
+    @contextmanager
+    def bounded(self, name: str, budget: Budget):
+        """Record ``name`` inconclusive if the budget runs out in the
+        block.  The one place that catches exhaustion and the one writer
+        of ``budget_used``, the budget's running total; any other
+        exception propagates and records nothing."""
+        before = budget.used
+        try:
+            yield
+        except BudgetExceeded as e:
+            cases = budget.used - before
+            self.add_inconclusive(name, cases=cases,
+                                  note=f"{e}, {cases} cases checked")
+        self.budget_used = budget.used
+
+    @contextmanager
+    def cases(self, name: str, budget: Budget):
+        """:meth:`bounded`, handing the block a :class:`Cases` that is
+        recorded as ``name`` when the block ends normally."""
+        with self.bounded(name, budget):
+            cases = Cases(budget)
+            yield cases
+            self.record(name, cases.bad, cases=cases.n)
+
     def merge(self, other: "Report", prefix: str = "") -> "Report":
         for c in other.checks:
             name = prefix + c.name if prefix else c.name
@@ -163,21 +216,3 @@ class Report:
 
     def __repr__(self):
         return f"<Report {self.status}: {len(self.checks)} checks>"
-
-
-def run_bounded(report: Report, name: str, fn, budget: Budget | None):
-    """Run ``fn()``; record ``name`` inconclusive if the budget runs out.
-
-    This is the one place a budget's exhaustion is caught and the one
-    writer of ``report.budget_used``, which it sets to the budget's
-    running total.  ``None`` is taken as :data:`UNBOUNDED`."""
-    budget = budget or UNBOUNDED
-    before = budget.used
-    try:
-        fn()
-    except BudgetExceeded as e:
-        cases = budget.used - before
-        report.add_inconclusive(name, cases=cases,
-                                note=f"{e}, {cases} cases checked")
-    report.budget_used = budget.used
-    return report

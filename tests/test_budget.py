@@ -1,8 +1,9 @@
 """One budget model: ``UNBOUNDED`` stands for no budget, every bounded
-block runs through ``run_bounded``, an exhausted budget is an
-inconclusive check rather than an exception, and ``budget_used`` is what
-the budget spent."""
+block runs in ``Report.bounded`` or ``Report.cases``, an exhausted budget
+is an inconclusive check rather than an exception, and ``budget_used`` is
+what the budget spent."""
 
+import ast
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from fwfs.dblcat import (ConcreteDoubleMap, check_concrete_double_map,
 from fwfs.fincat import finset_image_factorisation, identity_functor
 from fwfs.io import load_bundle, load_roster
 from fwfs.lifting import LlpDouble
+from fwfs.report import Cases
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "..", "demos", "data")
@@ -73,6 +75,113 @@ def test_merge_keeps_the_larger_total():
     assert b.merge(Report()).budget_used == 3
     b.budget_used = 9
     assert a.merge(b).budget_used == 9
+
+
+def test_cases_records_what_it_counted():
+    b = Budget(max_candidates=10)
+    report = Report()
+    with report.cases("clean", b) as cases:
+        for _ in range(3):
+            cases.case()
+    with report.cases("dirty", b) as cases:
+        cases.case()
+        cases.bad.append({"x": 1})
+        cases.count(4)
+    assert [c.to_dict() for c in report.checks] == [
+        {"name": "clean", "status": "ok", "witnesses": [],
+         "cases_examined": 3},
+        {"name": "dirty", "status": "violation", "witnesses": [{"x": 1}],
+         "cases_examined": 5}]
+    assert report.budget_used == b.used == 4
+
+
+def test_count_charges_nothing():
+    b = Budget(max_candidates=1)
+    cases = Cases(b)
+    cases.count(10)
+    assert (cases.n, b.used) == (10, 0)
+    cases.case()
+    assert (cases.n, b.used) == (11, 1)
+
+
+def test_exhausted_cases_are_inconclusive():
+    """The cases of an inconclusive check are the units charged in its
+    block, not those counted or charged before it."""
+    b = Budget(max_candidates=5)
+    b.spend(2)
+    report = Report()
+    with report.cases("law", b) as cases:
+        cases.count(7)
+        while True:
+            cases.case()
+    [check] = report.checks
+    assert check.to_dict() == {
+        "name": "law", "status": "inconclusive", "cases_examined": 3,
+        "witnesses": [{"note": "candidate budget exhausted, 3 cases checked"}]}
+    assert report.budget_used == b.used == 5
+
+
+def test_other_exceptions_record_nothing():
+    b = Budget(max_candidates=5)
+    report = Report()
+    with pytest.raises(KeyError):
+        with report.cases("law", b) as cases:
+            cases.case()
+            raise KeyError("x")
+    assert report.checks == [] and report.budget_used == 0
+
+
+def test_bounded_names_its_exhaustion():
+    """A bounded block that records several checks reports exhaustion
+    under its own name, after the checks it completed."""
+    b = Budget(max_candidates=2)
+    report = Report()
+    with report.bounded("block", b):
+        report.add_ok("first", cases=1)
+        b.spend(2)
+        b.spend()
+    assert [(c.name, c.status, c.cases) for c in report.checks] == [
+        ("first", "ok", 1), ("block", "inconclusive", 2)]
+    assert report.budget_used == 2
+
+
+def handlers_and_writers(tree):
+    """The names of the exceptions tree catches, and the attributes it
+    assigns."""
+    caught, assigned = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            caught.update(ast.unparse(t).split(".")[-1] for t in types)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign,
+                                                           ast.AnnAssign))
+                   else [])
+        for t in targets:
+            for x in ast.walk(t):
+                if isinstance(x, ast.Attribute):
+                    assigned.add(x.attr)
+    return caught, assigned
+
+
+def test_one_place_catches_exhaustion():
+    """Only ``report.py`` catches ``BudgetExceeded`` and writes
+    ``budget_used``, and ``run_bounded`` is gone."""
+    package = os.path.join(SRC, "fwfs")
+    modules = sorted(m for m in os.listdir(package) if m.endswith(".py"))
+    assert "report.py" in modules and "lifting.py" in modules
+    for module in modules:
+        with open(os.path.join(package, module), encoding="utf-8") as fh:
+            source = fh.read()
+        tree = ast.parse(source)
+        caught, assigned = handlers_and_writers(tree)
+        home = module == "report.py"
+        assert ("BudgetExceeded" in caught) == home, module
+        assert ("budget_used" in assigned) == home, module
+        names = {n.name for n in ast.walk(tree)
+                 if isinstance(n, (ast.FunctionDef, ast.alias))}
+        assert "run_bounded" not in names, module
 
 
 def laws_on_one_unit(S):

@@ -20,7 +20,7 @@ from fwfs.fincat import (FinCategory, Functor, NatTransformation,
                          build_finset, compose_functors, functor_equal,
                          identity_functor)
 from fwfs.lifting import SideMismatch
-from fwfs.report import UNBOUNDED, Report, run_bounded
+from fwfs.report import UNBOUNDED, Report
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                     "demos", "data")
@@ -444,7 +444,9 @@ def oracle_free(cd, tests):
                                     "factorisations": len(found)})
         report.record("free-fibration-universality", bad, cases=n)
 
-    return run_bounded(report, "free-fibration-universality", body, None)
+    with report.bounded("free-fibration-universality", UNBOUNDED):
+        body()
+    return report
 
 
 def oracle_cofree(cd, tests):
@@ -485,8 +487,9 @@ def oracle_cofree(cd, tests):
                                     "factorisations": len(found)})
         report.record("cofree-reflection-couniversality", bad, cases=n)
 
-    return run_bounded(report, "cofree-reflection-couniversality", body,
-                       None)
+    with report.bounded("cofree-reflection-couniversality", UNBOUNDED):
+        body()
+    return report
 
 
 def oracle_roster_composites(functors, morphisms):

@@ -19,7 +19,7 @@ from fwfs.lifting import (LlpDouble, TableLifting, _couniversal_left,
                           _dual_witnesses, check_factorisation_assignment,
                           factorisations,
                           identity_llp_vertical, llp_vertical_compose)
-from fwfs.report import Report, run_bounded
+from fwfs.report import UNBOUNDED, Cases, Report
 
 
 # --- the hand-written oracles ----------------------------------------------
@@ -102,10 +102,8 @@ def oracle_left_only(S, FA, budget=None):
     report = check_factorisation_assignment(S, FA)
     if not report.ok:
         return report
-    run_bounded(report, "couniversal-left",
-                lambda: report.record("couniversal-left",
-                                      *oracle_left_side(S, FA, budget)),
-                budget)
+    with report.bounded("couniversal-left", budget or UNBOUNDED):
+        report.record("couniversal-left", *oracle_left_side(S, FA, budget))
     if budget:
         report.budget_used = budget.used
     return report
@@ -116,10 +114,8 @@ def oracle_right_only(S, FA, budget=None):
     report = check_factorisation_assignment(S, FA)
     if not report.ok:
         return report
-    run_bounded(report, "universal-right",
-                lambda: report.record("universal-right",
-                                      *oracle_right_side(S, FA, budget)),
-                budget)
+    with report.bounded("universal-right", budget or UNBOUNDED):
+        report.record("universal-right", *oracle_right_side(S, FA, budget))
     if budget:
         report.budget_used = budget.used
     return report
@@ -370,7 +366,9 @@ def test_universal_right_matches_oracle_on_leg_corruptions(structure):
     n = violations = 0
     for bad_fa in leg_corruptions(S, FA):
         n += 1
-        bad, cases = _couniversal_left(S.dual(), bad_fa.dual(), Budget())
+        found = Cases(Budget())
+        _couniversal_left(S.dual(), bad_fa.dual(), found)
+        bad, cases = found.bad, found.n
         want = oracle_right_side(S, bad_fa, Budget())
         assert (_dual_witnesses("universal-right", bad), cases) == want
         violations += bool(want[0])
@@ -388,7 +386,9 @@ def test_couniversal_left_matches_oracle_on_leg_corruptions(structure):
     for bad_fa in [FA, *leg_corruptions(S, FA)]:
         n += 1
         want = oracle_left_side(S, bad_fa, Budget())
-        assert _couniversal_left(S, bad_fa, Budget()) == want
+        got = Cases(Budget())
+        _couniversal_left(S, bad_fa, got)
+        assert (got.bad, got.n) == want
         violations += bool(want[0])
         report = check_factorisation_axiom(S, bad_fa, "left-only", Budget())
         assert report.to_dict() == \

@@ -25,9 +25,9 @@ from fwfs import (Budget, FinCategory, RlpVertical, build_finset,
                   transpose_r, unique_filler_lifting, walking_arrow)
 from fwfs.dblcat import ClassDouble, check_double_category, sq
 from fwfs.fincat import finset_values
-from fwfs.lifting import (LiftingStructure, LlpDouble, LlpVertical, RlpDouble,
-                          RuleLifting, TableLifting)
-from fwfs.report import Report, run_bounded
+from fwfs.lifting import (LiftingStructure, LlpDouble, LlpVertical,
+                          NotOrthogonal, RlpDouble, RuleLifting, TableLifting)
+from fwfs.report import UNBOUNDED, Report
 
 
 # --- the evaluating oracles ------------------------------------------------
@@ -167,7 +167,8 @@ def oracle_lifting_operation(op, budget=None):
                      ("horizontal-right", horizontal_right),
                      ("vertical-left", vertical_left),
                      ("vertical-right", vertical_right)):
-        run_bounded(report, name, fn, budget)
+        with report.bounded(name, budget or UNBOUNDED):
+            fn()
         if not report.ok and report.violations():
             break
     return report
@@ -818,6 +819,54 @@ def test_lifting_operation_over_broken_base():
     assert got.ok
     assert got.to_dict() == oracle_lifting_operation(op, Budget()).to_dict()
     assert not B.is_category
+
+
+def class_pairs(B):
+    """Every pair of non-empty classes of morphisms of B."""
+    classes = [list(c) for r in range(1, len(B.morphisms) + 1)
+               for c in itertools.combinations(sorted(B.morphisms), r)]
+    return itertools.product(classes, classes)
+
+
+@pytest.mark.parametrize("base, built", [(broken_walking_arrow, 33),
+                                         (nonassociative_base, 17)])
+def test_unique_filler_operation_is_its_table(base, built):
+    """Over a base that is no category, the laws ask for lifts of pairs
+    that are no lifting problems.  The unique-filler operation answers
+    them as its own table does, with no diagonal, so its report is the
+    table's: it neither raises nor passes where the table fails."""
+    B = base()
+    n = 0
+    for left, right in class_pairs(B):
+        L, R = ClassDouble(B, left), ClassDouble(B, right)
+        try:
+            op = unique_filler_lifting(L, R)
+        except NotOrthogonal:
+            continue
+        n += 1
+        table = TableLifting(L, R, op.table())
+        assert check_lifting_operation(op).to_dict() == \
+            check_lifting_operation(table).to_dict(), (left, right)
+    assert n == built
+
+
+@pytest.mark.parametrize("left", [["a"], ["id1"], ["a", "id1"]])
+def test_composite_off_the_boundary_is_a_witness(left):
+    """With a∘id0 := id1, the composite a∘id0 of the right class lies over
+    id1, which does not end where id0 does: the lift through the middle
+    is no lifting problem.  vertical-right reports the case as a
+    witness, in the right-hand keys, rather than raise KeyError."""
+    B = broken_walking_arrow()
+    op = unique_filler_lifting(ClassDouble(B, left),
+                               ClassDouble(B, ["a", "id0", "id1"]))
+    report = check_lifting_operation(op, Budget())
+    assert [c.name for c in report.violations()] == ["vertical-right"]
+    witnesses = report.violations()[0].witnesses
+    assert witnesses and all(
+        w.keys() == {"k", "l", "square", "kind"}
+        and (w["k"], w["l"], w["kind"]) == ("id0", "a", "composite-boundary")
+        for w in witnesses)
+    assert report.budget_used == sum(c.cases for c in report.checks)
 
 
 # --- the unique-filler gate of is_square -----------------------------------
